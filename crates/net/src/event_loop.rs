@@ -19,20 +19,26 @@
 //! * The **committer** amortizes WAL fsyncs across connections. A
 //!   handler that produced durable records does not write its reply
 //!   directly; the worker parks the pre-encoded reply frame as a
-//!   commit waiter. The committer swaps out all parked waiters, takes
-//!   the service lock, issues **one** fsync covering every record they
-//!   appended, and only then hands the reply frames back to the
-//!   workers. No ack leaves the process before its records are
-//!   durable — WAL-before-ack is preserved, with fsyncs/op → 1/batch.
+//!   commit waiter. The committer fsyncs as soon as one waiter is
+//!   parked — it never lingers on a timer for company — and only then
+//!   hands the covered reply frames back to the workers. No ack leaves
+//!   the process before its records are durable: WAL-before-ack holds,
+//!   with fsyncs/op → 1/batch.
 //!
-//! The ordering argument for group commit: a worker appends a
-//! request's WAL records while holding the service lock, releases the
-//! lock, and only then publishes the commit waiter. The committer
-//! observes the waiter, re-takes the service lock and fsyncs — so the
-//! fsync happens-after every record append of every waiter it covers.
-//! Holding the service lock during the fsync also *creates* batching
-//! under load: handlers queue behind the fsync and their waiters are
-//! swapped out as one group on the next round.
+//! Batches form on their own. The fsync runs without the service lock,
+//! so handlers keep appending and parking while it is in flight; the
+//! round after it covers all of them with one fsync. A lone request
+//! therefore pays one fsync, and under load each fsync covers whatever
+//! arrived during the one before it.
+//!
+//! The ordering argument: the committer begins a flush *stage* under
+//! the service lock — it bumps the stage count and pushes every
+//! appended WAL byte to the OS — and fsyncs after releasing the lock.
+//! A worker appends a request's records under the same lock and, still
+//! holding it, reads the stage count: the request is due at the next
+//! stage, which begins after its records were appended. After stage
+//! `k`'s fsync the committer releases every waiter due at or before
+//! `k`, including waiters that parked while that fsync ran.
 
 use crate::endpoint::Service;
 use crate::frame::{crc32, decode_header, encode_frame, FrameKind, HEADER_LEN, MAX_PAYLOAD};
@@ -50,7 +56,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -63,11 +69,6 @@ const TICK: Duration = Duration::from_millis(25);
 const DRAIN_GRACE: Duration = Duration::from_millis(500);
 /// Read chunk size per `read(2)` call.
 const READ_CHUNK: usize = 64 * 1024;
-/// Group-commit aggregation window: after the first waiter of a batch
-/// arrives the committer lingers this long (while the batch still
-/// grows) before fsyncing, trading microseconds of latency for fewer,
-/// larger batches.
-const GATHER_WINDOW: Duration = Duration::from_micros(150);
 /// Poller token reserved for the worker wake pipe.
 const WAKE_TOKEN: u64 = u64::MAX;
 
@@ -105,7 +106,7 @@ enum InboxMsg {
     /// A freshly accepted connection to adopt.
     Conn(TcpStream),
     /// Reply frames released by the group committer — one message per
-    /// worker per fsync batch. Each reply is delivered only if its slot
+    /// worker per commit round. Each reply is delivered only if its slot
     /// still holds generation `gen` (the connection may have died and
     /// the slot been recycled meanwhile).
     Replies(Vec<ReplyMsg>),
@@ -145,10 +146,13 @@ struct CommitWaiter {
     /// The request's `req_label`, for the expiry counter.
     op: &'static str,
     /// Deadline derived from the request's budget; a waiter still
-    /// parked past this point is dropped by the committer *before*
-    /// staging its fsync (the caller gave up — dead work must not cost
-    /// a flush).
+    /// parked past this point when a stage is about to begin is dropped
+    /// instead (the caller gave up — dead work must not cost a flush).
     expires_at: Option<Instant>,
+    /// The first flush stage whose fsync covers this request's records.
+    due: u64,
+    /// When the reply was parked, for the commit-wait histogram.
+    parked: Instant,
     frame: Vec<u8>,
 }
 
@@ -167,9 +171,24 @@ struct CommitShared {
     /// the `--shed-watermark` admission check without touching the
     /// commit mutex on the reject path. Updated under the state lock.
     depth: AtomicUsize,
+    /// Flush stages begun so far. Written by the committer and read by
+    /// workers, both under the service lock, which orders each read
+    /// against each stage.
+    stages: AtomicU64,
 }
 
-/// One fsync per swapped batch; replies released only afterwards.
+impl CommitShared {
+    /// Remove the waiters matching `pred` from the queue.
+    fn take_where(&self, pred: impl FnMut(&mut CommitWaiter) -> bool) -> Vec<CommitWaiter> {
+        let mut st = lock(&self.state);
+        let taken: Vec<_> = st.waiters.extract_if(.., pred).collect();
+        self.depth.store(st.waiters.len(), Ordering::Relaxed);
+        taken
+    }
+}
+
+/// Fsync as soon as a waiter is parked; after each fsync release every
+/// waiter it covers, including those that parked while it ran.
 fn committer_loop<S: Service>(
     svc: Arc<Mutex<S>>,
     shared: Arc<CommitShared>,
@@ -177,12 +196,9 @@ fn committer_loop<S: Service>(
     metrics: Option<Arc<ServerMetrics>>,
 ) {
     loop {
-        let batch = {
+        {
             let mut st = lock(&shared.state);
-            loop {
-                if !st.waiters.is_empty() {
-                    break;
-                }
+            while st.waiters.is_empty() {
                 if st.producing == 0 {
                     return;
                 }
@@ -192,113 +208,110 @@ fn committer_loop<S: Service>(
                     .unwrap_or_else(PoisonError::into_inner)
                     .0;
             }
-            // Aggregation window: once a waiter arrives, linger briefly
-            // while the batch keeps growing so stragglers share this
-            // fsync instead of forcing the next one. The added delay is
-            // microseconds against a loaded round trip of milliseconds;
-            // the loop stops the moment a window passes with no growth.
-            let mut seen = st.waiters.len();
-            for _ in 0..4 {
-                st = shared
-                    .cv
-                    .wait_timeout(st, GATHER_WINDOW)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-                if st.waiters.len() == seen {
-                    break;
-                }
-                seen = st.waiters.len();
-            }
-            shared.depth.store(0, Ordering::Relaxed);
-            std::mem::take(&mut st.waiters)
-        };
+        }
         // Deadline check at the last possible moment before staging:
         // a waiter whose budget ran out while parked is dropped here —
         // its caller already gave up, so its ack is dead work. The WAL
         // records it appended stay buffered (they ride the next live
-        // batch or the drain flush), but they never *cause* an fsync:
-        // an all-expired batch skips the stage entirely.
+        // stage or the drain flush), but they never *cause* an fsync:
+        // a queue of expired waiters only skips the stage.
         let now = Instant::now();
-        let (expired, batch): (Vec<_>, Vec<_>) = batch
-            .into_iter()
-            .partition(|w| w.expires_at.is_some_and(|t| now >= t));
-        for w in &expired {
-            if let Some(m) = &metrics {
-                m.expired(w.op);
-            }
-        }
+        let expired = shared.take_where(|w| w.expires_at.is_some_and(|t| now >= t));
+        let mut by_worker: Vec<Vec<ReplyMsg>> = (0..workers.len()).map(|_| Vec::new()).collect();
         if !expired.is_empty() {
             loco_log::debug!("wal.commit", "expired parked replies dropped before fsync";
-                expired = expired.len() as u64, live = batch.len() as u64);
-        }
-        let staged = if batch.is_empty() {
-            None
-        } else {
-            let mut svc = lock(&svc);
-            // Crash here: records of the batch hit the WAL but were
-            // never fsynced, and no ack left — recovery may lose them
-            // all, which is correct (nothing was promised).
-            loco_faults::crashpoint("group_commit_pre_sync");
-            svc.commit_flush_begin()
-        };
-        let staged_any = staged.is_some();
-        // The fsync runs with the service lock *released*: workers keep
-        // appending the next batch while this one reaches the platter.
-        let records = match staged {
-            Some((n, fsync)) => {
-                fsync();
-                n
-            }
-            None => 0,
-        };
-        // A replicated service may fail its ack-quorum inside the
-        // staged flush (standbys dead or this node fenced). The batch
-        // is locally durable, but the promised replication guarantee is
-        // not met — so no ack leaves: every reply of the batch is
-        // dropped and the clients redial through the cluster view. The
-        // empty frames below still flow to the workers so per-conn
-        // inflight accounting stays balanced.
-        let aborted = staged_any && lock(&svc).commit_abort();
-        if aborted {
-            loco_log::warn!("wal.commit", "group commit acks dropped: replication quorum not met";
-                records = records);
-        }
-        // Crash here: the batch is durable but no ack left — recovery
-        // replays it, a superset of what clients saw. Also correct.
-        loco_faults::crashpoint("group_commit_post_sync");
-        if records > 0 {
-            loco_log::trace!("wal.commit", "group commit batch fsynced";
-                records = records);
-            if let Some(m) = &metrics {
-                m.wal_batch(records);
-            }
-        }
-        // One inbox message (and one wake byte) per worker per fsync
-        // batch, not per reply — under load a batch carries replies for
-        // many connections on the same worker.
-        let mut by_worker: Vec<Vec<ReplyMsg>> = (0..workers.len()).map(|_| Vec::new()).collect();
-        for w in batch {
-            by_worker[w.worker].push(ReplyMsg {
-                slot: w.slot,
-                gen: w.gen,
-                frame: if aborted { Vec::new() } else { w.frame },
-            });
+                expired = expired.len() as u64);
         }
         // Expired waiters still flow back as one Error frame each so
         // per-connection inflight accounting stays balanced and the
         // client learns immediately instead of timing out.
         for w in expired {
+            if let Some(m) = &metrics {
+                m.expired(w.op);
+            }
             by_worker[w.worker].push(ReplyMsg {
                 slot: w.slot,
                 gen: w.gen,
                 frame: encode_frame(FrameKind::Error, w.req_id, &[REJECT_EXPIRED]),
             });
         }
+        if shared.depth.load(Ordering::Relaxed) > 0 {
+            commit_round(&svc, &shared, metrics.as_deref(), &mut by_worker);
+        }
+        // One inbox message (and one wake byte) per worker per round,
+        // not per reply — under load a round carries replies for many
+        // connections on the same worker.
         for (worker, replies) in by_worker.into_iter().enumerate() {
             if !replies.is_empty() {
                 workers[worker].send(InboxMsg::Replies(replies));
             }
         }
+    }
+}
+
+/// One stage + fsync; queues the reply of every waiter it covers.
+fn commit_round<S: Service>(
+    svc: &Mutex<S>,
+    shared: &CommitShared,
+    metrics: Option<&ServerMetrics>,
+    by_worker: &mut [Vec<ReplyMsg>],
+) {
+    let (stage, staged) = {
+        let mut svc = lock(svc);
+        // Crash here: records hit the WAL but were never fsynced, and
+        // no ack left — recovery may lose them all, which is correct
+        // (nothing was promised).
+        loco_faults::crashpoint("group_commit_pre_sync");
+        let stage = shared.stages.fetch_add(1, Ordering::Relaxed) + 1;
+        (stage, svc.commit_flush_begin())
+    };
+    let staged_any = staged.is_some();
+    // The fsync runs with the service lock *released*: workers keep
+    // appending and parking the next batch while this one reaches the
+    // platter.
+    let records = match staged {
+        Some((n, fsync)) => {
+            let t0 = Instant::now();
+            fsync();
+            if let Some(m) = metrics {
+                m.wal_fsync(t0.elapsed());
+            }
+            n
+        }
+        None => 0,
+    };
+    // A replicated service may fail its ack-quorum inside the staged
+    // flush (standbys dead or this node fenced). The stage is locally
+    // durable, but the promised replication guarantee is not met — so
+    // no ack leaves: every reply it covers is dropped and the clients
+    // redial through the cluster view. The empty frames below still
+    // flow to the workers so per-conn inflight accounting stays
+    // balanced.
+    let aborted = staged_any && lock(svc).commit_abort();
+    if aborted {
+        loco_log::warn!("wal.commit", "group commit acks dropped: replication quorum not met";
+            records = records);
+    }
+    // Crash here: the records are durable but no ack left — recovery
+    // replays them, a superset of what clients saw. Also correct.
+    loco_faults::crashpoint("group_commit_post_sync");
+    if records > 0 {
+        loco_log::trace!("wal.commit", "group commit batch fsynced";
+            records = records);
+        if let Some(m) = metrics {
+            m.wal_batch(records);
+        }
+    }
+    let released = Instant::now();
+    for w in shared.take_where(|w| w.due <= stage) {
+        if let Some(m) = metrics {
+            m.commit_wait(released - w.parked);
+        }
+        by_worker[w.worker].push(ReplyMsg {
+            slot: w.slot,
+            gen: w.gen,
+            frame: if aborted { Vec::new() } else { w.frame },
+        });
     }
 }
 
@@ -733,6 +746,12 @@ where
         } else {
             None
         };
+        // Read under the service lock: a stage that began before this
+        // handler ran is counted, so the next one covers its records.
+        let due = self
+            .commit
+            .as_ref()
+            .map_or(0, |c| c.stages.load(Ordering::Relaxed) + 1);
         if ticket.is_some() && !group {
             // Draining: the committer no longer waits on this worker,
             // so make the records durable inline before replying.
@@ -776,14 +795,17 @@ where
                 req_id,
                 op,
                 expires_at: deadline,
+                due,
+                parked: Instant::now(),
                 frame,
             });
             c.depth.store(st.waiters.len(), Ordering::Relaxed);
-            // Only the batch-opening waiter needs to wake the committer
-            // — it drains the whole queue, and its aggregation window
-            // picks up later arrivals on its own timer. Skipping the
-            // per-request futex wake saves a syscall and, on small
-            // boxes, a context switch per operation.
+            // Only a waiter that finds the queue empty wakes the
+            // committer: while the queue is non-empty the committer is
+            // awake or already woken, and it re-checks the queue before
+            // it sleeps.
+            // Skipping the per-request futex wake saves a syscall and,
+            // on small boxes, a context switch per operation.
             if was_empty {
                 c.cv.notify_all();
             }
@@ -1007,6 +1029,7 @@ pub(crate) fn run<S>(
             }),
             cv: Condvar::new(),
             depth: AtomicUsize::new(0),
+            stages: AtomicU64::new(0),
         })
     });
     let open = Arc::new(AtomicUsize::new(0));
@@ -1146,4 +1169,93 @@ pub(crate) fn run<S>(
     loco_faults::crashpoint("daemon_drain");
     run_maintain(&svc, &opts, id, true);
     loco_log::info!("net.srv", "drain complete");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::endpoint::CommitFsync;
+
+    fn waiter(slot: usize, due: u64) -> CommitWaiter {
+        CommitWaiter {
+            worker: 0,
+            slot,
+            gen: 1,
+            req_id: slot as u64,
+            op: "Put",
+            expires_at: None,
+            due,
+            parked: Instant::now(),
+            frame: vec![slot as u8],
+        }
+    }
+
+    fn shared() -> Arc<CommitShared> {
+        Arc::new(CommitShared {
+            state: Mutex::new(CommitState::default()),
+            cv: Condvar::new(),
+            depth: AtomicUsize::new(0),
+            stages: AtomicU64::new(0),
+        })
+    }
+
+    /// A durable service whose fsync parks `late` while it runs, like a
+    /// worker that appended before the stage but parked after it.
+    struct Wal {
+        unsynced: u64,
+        shared: Arc<CommitShared>,
+        late: Vec<CommitWaiter>,
+    }
+
+    impl Service for Wal {
+        type Req = ();
+        type Resp = ();
+        fn handle(&mut self, _: ()) {}
+        fn take_cost(&mut self) -> Nanos {
+            0
+        }
+        fn commit_flush_begin(&mut self) -> Option<(u64, CommitFsync)> {
+            let n = std::mem::take(&mut self.unsynced);
+            if n == 0 {
+                return None;
+            }
+            let shared = Arc::clone(&self.shared);
+            let late = std::mem::take(&mut self.late);
+            Some((
+                n,
+                Box::new(move || lock(&shared.state).waiters.extend(late)),
+            ))
+        }
+    }
+
+    fn released(by_worker: &mut [Vec<ReplyMsg>]) -> Vec<usize> {
+        by_worker[0].drain(..).map(|r| r.slot).collect()
+    }
+
+    #[test]
+    fn a_stage_releases_every_waiter_it_covers_and_no_other() {
+        let shared = shared();
+        lock(&shared.state)
+            .waiters
+            .extend([waiter(1, 1), waiter(3, 2)]);
+        let svc = Mutex::new(Wal {
+            unsynced: 2,
+            shared: Arc::clone(&shared),
+            late: vec![waiter(2, 1)],
+        });
+        let mut by_worker = vec![Vec::new()];
+
+        // Stage 1 covers the waiter parked before it and the one that
+        // parked during its fsync; the waiter due at stage 2 stays.
+        commit_round(&svc, &shared, None, &mut by_worker);
+        assert_eq!(released(&mut by_worker), vec![1, 2]);
+        assert_eq!(shared.depth.load(Ordering::Relaxed), 1);
+
+        // Nothing left to sync (a checkpoint made it durable): stage 2
+        // issues no fsync but still releases what it covers.
+        commit_round(&svc, &shared, None, &mut by_worker);
+        assert_eq!(released(&mut by_worker), vec![3]);
+        assert_eq!(shared.stages.load(Ordering::Relaxed), 2);
+        assert!(lock(&shared.state).waiters.is_empty());
+    }
 }

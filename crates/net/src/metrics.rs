@@ -42,6 +42,7 @@ use loco_sim::des::ServerId;
 use loco_sim::time::Nanos;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
 /// Human-readable role name for a [`ServerId::class`].
 pub fn role_name(class: u8) -> &'static str {
@@ -232,6 +233,11 @@ impl EndpointMetrics {
 ///   one connection (the observed client pipelining depth);
 /// * `loco_wal_batch_size` — WAL records covered by one group-commit
 ///   fsync. `sum > count` proves cross-connection batching happened;
+/// * `loco_wal_fsync_nanos` — wall time of one group-commit fsync (for
+///   a replicated primary, including its standby-quorum wait);
+/// * `loco_wal_commit_wait_nanos` — wall time one durable reply stayed
+///   parked with the group committer, until the fsync covering its
+///   records returned;
 /// * `loco_server_shed{reason}` — requests rejected at admission
 ///   (loco-guard), split by `reason="inflight"` (per-server parked
 ///   mutations over `--max-inflight`) vs `reason="queue"` (group-commit
@@ -248,6 +254,8 @@ pub struct ServerMetrics {
     wakeups: Arc<Counter>,
     pipeline_depth: Arc<LogHistogram>,
     wal_batch: Arc<LogHistogram>,
+    wal_fsync: Arc<LogHistogram>,
+    commit_wait: Arc<LogHistogram>,
     shed_inflight: Arc<Counter>,
     shed_queue: Arc<Counter>,
     expired_unknown: Arc<Counter>,
@@ -266,6 +274,8 @@ impl ServerMetrics {
             wakeups: registry.counter("loco_epoll_wakeups_total", &labels),
             pipeline_depth: registry.histogram("loco_srv_pipeline_depth", &labels),
             wal_batch: registry.histogram("loco_wal_batch_size", &labels),
+            wal_fsync: registry.histogram("loco_wal_fsync_nanos", &labels),
+            commit_wait: registry.histogram("loco_wal_commit_wait_nanos", &labels),
             shed_inflight: registry.counter(
                 "loco_server_shed",
                 &[("role", role), ("server", &server), ("reason", "inflight")],
@@ -321,6 +331,18 @@ impl ServerMetrics {
     #[inline]
     pub fn wal_batch(&self, records: u64) {
         self.wal_batch.record(records);
+    }
+
+    /// One group-commit fsync took `d` of wall time.
+    #[inline]
+    pub fn wal_fsync(&self, d: Duration) {
+        self.wal_fsync.record(d.as_nanos() as u64);
+    }
+
+    /// One durable reply stayed parked for `d` before its release.
+    #[inline]
+    pub fn commit_wait(&self, d: Duration) {
+        self.commit_wait.record(d.as_nanos() as u64);
     }
 
     /// A mutation was shed at admission because the per-server parked

@@ -4,8 +4,9 @@
 //! renders one row per daemon: throughput (from the daemon's own
 //! time-series ring, so no scraper-side state), service-time
 //! quantiles, connection and pipeline depth, WAL batching, fsyncs per
-//! op and heap allocations per op. The same numbers back three
-//! consumers:
+//! op, the wall-clock means of a group-commit fsync and of a durable
+//! reply's wait for it, and heap allocations per op. The same numbers
+//! back three consumers:
 //!
 //! * interactive: `locotop` repaints a terminal table every
 //!   `--interval-ms` until interrupted;
@@ -195,6 +196,10 @@ struct Row {
     pipeline_avg: Option<f64>,
     wal_batch_avg: Option<f64>,
     fsyncs_per_op: Option<f64>,
+    /// Mean wall time of one group-commit fsync.
+    fsync_us: Option<f64>,
+    /// Mean wall time a durable reply stayed parked for its fsync.
+    commit_wait_us: Option<f64>,
     allocs_per_op: Option<f64>,
     alloc_bytes_per_op: Option<f64>,
     /// Replication role gauge (1=primary, 2=standby, 3=fenced); absent
@@ -287,6 +292,8 @@ fn scrape(addr: &str, timeout: Duration) -> Row {
         pipeline_avg: ratio(&pt, "loco_srv_pipeline_depth"),
         wal_batch_avg: ratio(&pt, "loco_wal_batch_size"),
         fsyncs_per_op,
+        fsync_us: ratio(&pt, "loco_wal_fsync_nanos").map(|v| v / 1_000.0),
+        commit_wait_us: ratio(&pt, "loco_wal_commit_wait_nanos").map(|v| v / 1_000.0),
         allocs_per_op: ratio(&pt, "loco_alloc_per_op"),
         alloc_bytes_per_op: ratio(&pt, "loco_alloc_bytes_per_op"),
         repl_role: pt.value("loco_repl_role", &[]),
@@ -324,7 +331,7 @@ fn fmt_opt(v: Option<f64>) -> String {
 fn render_table(rows: &[(String, String, Row)]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<6} {:<21} {:>9} {:>8} {:>8} {:>5} {:>5} {:>7} {:>4} {:>5} {:>6} {:>6} {:>6} {:>8} {:>9} {:>7} {:>5}\n",
+        "{:<6} {:<21} {:>9} {:>8} {:>8} {:>5} {:>5} {:>7} {:>4} {:>5} {:>6} {:>6} {:>6} {:>7} {:>7} {:>8} {:>9} {:>7} {:>5}\n",
         "NAME",
         "ADDR",
         "OP/S",
@@ -338,6 +345,8 @@ fn render_table(rows: &[(String, String, Row)]) -> String {
         "PIPE",
         "WALB",
         "FS/OP",
+        "FSYNCus",
+        "CWAITus",
         "ALLOC/OP",
         "BYTES/OP",
         "REPL",
@@ -352,7 +361,7 @@ fn render_table(rows: &[(String, String, Row)]) -> String {
             continue;
         }
         out.push_str(&format!(
-            "{:<6} {:<21} {:>9} {:>8} {:>8} {:>5} {:>5} {:>7} {:>4} {:>5} {:>6} {:>6} {:>6} {:>8} {:>9} {:>7} {:>5}\n",
+            "{:<6} {:<21} {:>9} {:>8} {:>8} {:>5} {:>5} {:>7} {:>4} {:>5} {:>6} {:>6} {:>6} {:>7} {:>7} {:>8} {:>9} {:>7} {:>5}\n",
             name,
             addr,
             fmt_opt(r.ops_per_sec),
@@ -366,6 +375,8 @@ fn render_table(rows: &[(String, String, Row)]) -> String {
             fmt_opt(r.pipeline_avg),
             fmt_opt(r.wal_batch_avg),
             fmt_opt(r.fsyncs_per_op),
+            fmt_opt(r.fsync_us),
+            fmt_opt(r.commit_wait_us),
             fmt_opt(r.allocs_per_op),
             fmt_opt(r.alloc_bytes_per_op),
             fmt_repl(r),
@@ -403,6 +414,8 @@ fn render_json(rows: &[(String, String, Row)]) -> String {
                 ("pipeline_depth_avg", opt_num(r.pipeline_avg)),
                 ("wal_batch_avg", opt_num(r.wal_batch_avg)),
                 ("fsyncs_per_op", opt_num(r.fsyncs_per_op)),
+                ("fsync_us_avg", opt_num(r.fsync_us)),
+                ("commit_wait_us_avg", opt_num(r.commit_wait_us)),
                 ("allocs_per_op", opt_num(r.allocs_per_op)),
                 ("alloc_bytes_per_op", opt_num(r.alloc_bytes_per_op)),
                 ("repl_role", opt_num(r.repl_role)),

@@ -94,6 +94,8 @@ fn server_core_family_names_are_stable() {
         "loco_srv_open_conns",
         "loco_srv_pipeline_depth",
         "loco_wal_batch_size",
+        "loco_wal_commit_wait_nanos",
+        "loco_wal_fsync_nanos",
     ];
     assert_eq!(got, want.to_vec(), "server-core families changed");
 }
