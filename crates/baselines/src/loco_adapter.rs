@@ -11,8 +11,8 @@ use loco_types::{FsResult, Perm};
 pub struct LocoAdapter {
     client: LocoClient,
     label: String,
-    // Keeps thread/TCP server halves alive for non-sim transports
-    // (dropping the TransportCluster shuts its servers down).
+    // Keeps in-process TCP servers alive (dropping the
+    // TransportCluster shuts them down).
     _cluster: Option<TransportCluster>,
 }
 
@@ -38,8 +38,8 @@ impl LocoAdapter {
 
     /// Build a cluster over an explicit [`Transport`]. For
     /// [`Transport::Sim`] this is identical to [`LocoAdapter::new`];
-    /// the other transports run the same servers behind threads or TCP
-    /// sockets while the benchmark interface stays unchanged.
+    /// [`Transport::Tcp`] runs the same servers behind TCP sockets
+    /// while the benchmark interface stays unchanged.
     pub fn with_transport(config: LocoConfig, transport: Transport) -> Self {
         let label = base_label(&config);
         let cluster = TransportCluster::new(config, transport);

@@ -7,11 +7,11 @@
 //! LocoFS (checks every FMS); CephFS wins the stat phases via client
 //! caching.
 
-//! Pass `--transport {sim,thread,tcp}` to run the LocoFS rows over a
+//! Pass `--transport {sim,tcp}` to run the LocoFS rows over a
 //! different endpoint flavour (baseline models are unaffected); the
 //! report is then written as `BENCH_fig08_<transport>.json`. Virtual
 //! costs cross the wire, so the numbers are transport-invariant — the
-//! non-sim runs exist to exercise the RPC stack at benchmark scale.
+//! tcp run exists to exercise the RPC stack at benchmark scale.
 //!
 //! `--clients N` overrides the paper's Table 3 client counts;
 //! `--pipeline D` models D outstanding requests per client (closed-loop

@@ -174,7 +174,7 @@ pub use loco_mdtest::{
     dump_phase_folded, dump_phase_metrics, dump_phase_slow_ops, prom_family_sum, BenchReport,
 };
 
-/// Parse a `--transport {sim,thread,tcp}` flag out of a bin's argument
+/// Parse a `--transport {sim,tcp}` flag out of a bin's argument
 /// list, returning the remaining positional arguments and the chosen
 /// transport (default [`Transport::Sim`]).
 pub fn parse_transport_flag(args: &[String]) -> (Vec<String>, Transport) {
@@ -185,12 +185,12 @@ pub fn parse_transport_flag(args: &[String]) -> (Vec<String>, Transport) {
         if a == "--transport" {
             let val = it
                 .next()
-                .unwrap_or_else(|| panic!("--transport needs a value (sim/thread/tcp)"));
+                .unwrap_or_else(|| panic!("--transport needs a value (sim/tcp)"));
             transport = Transport::parse(val)
-                .unwrap_or_else(|| panic!("unknown transport {val:?} (sim/thread/tcp)"));
+                .unwrap_or_else(|| panic!("unknown transport {val:?} (sim/tcp)"));
         } else if let Some(val) = a.strip_prefix("--transport=") {
             transport = Transport::parse(val)
-                .unwrap_or_else(|| panic!("unknown transport {val:?} (sim/thread/tcp)"));
+                .unwrap_or_else(|| panic!("unknown transport {val:?} (sim/tcp)"));
         } else {
             rest.push(a.clone());
         }

@@ -95,7 +95,7 @@ pub struct LocoConfig {
     /// `<root>/<role><index>/` behind a `loco_kv::DurableStore` —
     /// the same WAL + checkpoint composition `locod --data-dir` uses.
     /// Benchmarks use this to measure wire throughput at real
-    /// durability. Ignored by the Sim/Thread transports.
+    /// durability. Ignored by the Sim transport.
     pub durable_root: Option<std::path::PathBuf>,
     /// WAL fsync policy for `durable_root` clusters
     /// (`EveryRecord` = the paper-honest durable configuration;

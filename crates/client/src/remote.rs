@@ -1,5 +1,5 @@
 //! Transport selection: run the same LocoFS cluster over in-process
-//! simulated endpoints, per-server threads, or real TCP sockets.
+//! simulated endpoints or real TCP sockets.
 //!
 //! The client logic is transport-blind ([`LocoClient`] holds
 //! `Arc<dyn Endpoint>`s); this module is the wiring that decides what
@@ -7,8 +7,6 @@
 //!
 //! * [`Transport::Sim`] — the execute-then-replay default; identical to
 //!   [`LocoCluster`].
-//! * [`Transport::Thread`] — each server on its own OS thread behind a
-//!   channel.
 //! * [`Transport::Tcp`] — each server behind a real listening socket.
 //!   By default the cluster is booted *in this process* on ephemeral
 //!   localhost ports (every RPC still crosses the loopback wire); when
@@ -21,14 +19,14 @@
 //!
 //! Because servers return their *virtual* `Service::take_cost` in every
 //! reply, visit traces — and everything replayed from them — are
-//! identical across all three transports; the transport-equivalence
+//! identical across both transports; the transport-equivalence
 //! integration test pins that down.
 
 use crate::client::{DmsEndpoint, FmsEndpoint, ObsWiring, OstEndpoint};
 use crate::{LocoClient, LocoCluster, LocoConfig};
 use loco_dms::DirServer;
 use loco_fms::FileServer;
-use loco_net::{class, tcp, EndpointMetrics, ServerId, TcpServerGuard, ThreadServerGuard};
+use loco_net::{class, tcp, EndpointMetrics, ServerId, TcpServerGuard};
 use loco_obs::recorder::DEFAULT_K;
 use loco_obs::{FlightRecorder, MetricsRegistry, SampleMode, Tracer, Watchdog, WatchdogConfig};
 use loco_ostore::ObjectStore;
@@ -60,8 +58,6 @@ pub enum Transport {
     /// In-process synchronous endpoints (execute-then-replay default).
     #[default]
     Sim,
-    /// One OS thread per server, mpsc channels.
-    Thread,
     /// Real TCP sockets (in-process localhost servers, or external
     /// `locod` daemons via `LOCO_CLUSTER`).
     Tcp,
@@ -72,17 +68,15 @@ impl Transport {
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "sim" => Some(Transport::Sim),
-            "thread" | "threaded" => Some(Transport::Thread),
             "tcp" => Some(Transport::Tcp),
             _ => None,
         }
     }
 
-    /// Flag-style name (`sim`/`thread`/`tcp`).
+    /// Flag-style name (`sim`/`tcp`).
     pub fn name(self) -> &'static str {
         match self {
             Transport::Sim => "sim",
-            Transport::Thread => "thread",
             Transport::Tcp => "tcp",
         }
     }
@@ -164,20 +158,6 @@ impl ClusterAddrs {
     }
 }
 
-/// Keeps transport-specific server halves alive for the cluster's
-/// lifetime; dropping it shuts the servers down (threads joined, TCP
-/// listeners drained).
-enum ServerGuards {
-    /// Sim endpoints own their services; external TCP daemons outlive us.
-    None,
-    Thread {
-        _dms: Vec<ThreadServerGuard<loco_dms::DmsRequest, loco_dms::DmsResponse>>,
-        _fms: Vec<ThreadServerGuard<loco_fms::FmsRequest, loco_fms::FmsResponse>>,
-        _ost: Vec<ThreadServerGuard<loco_ostore::OstoreRequest, loco_ostore::OstoreResponse>>,
-    },
-    Tcp(#[allow(dead_code)] Vec<TcpServerGuard>),
-}
-
 /// A LocoFS cluster over a chosen [`Transport`], handing out
 /// transport-blind [`LocoClient`]s. The equivalent of [`LocoCluster`]
 /// when the endpoints are not (necessarily) simulated.
@@ -203,7 +183,10 @@ pub struct TransportCluster {
     pub flight: Arc<FlightRecorder>,
     /// Tail-anomaly watchdog.
     pub watchdog: Arc<Watchdog>,
-    _guards: ServerGuards,
+    /// In-process TCP servers, shut down (drained) when the cluster
+    /// drops. Empty for sim endpoints, which own their services, and
+    /// for external daemons, which outlive us.
+    _guards: Vec<TcpServerGuard>,
 }
 
 fn obs_stack(
@@ -247,7 +230,6 @@ impl TransportCluster {
     pub fn new(config: LocoConfig, transport: Transport) -> Self {
         match transport {
             Transport::Sim => Self::sim(config),
-            Transport::Thread => Self::threaded(config),
             Transport::Tcp => match ClusterAddrs::from_env() {
                 Some(addrs) => Self::tcp_external(config, &addrs),
                 None => Self::tcp_local(config),
@@ -279,63 +261,7 @@ impl TransportCluster {
             tracer: cluster.tracer,
             flight: cluster.flight,
             watchdog: cluster.watchdog,
-            _guards: ServerGuards::None,
-        }
-    }
-
-    fn threaded(config: LocoConfig) -> Self {
-        let (registry, tracer, flight, watchdog) = obs_stack(&config);
-        let mut dms = Vec::new();
-        let mut dms_guards = Vec::new();
-        for i in 0..config.num_dms.max(1) {
-            let id = ServerId::new(class::DMS, i);
-            let m = EndpointMetrics::register(&registry, id);
-            let (ep, guard) = loco_net::spawn_with_metrics(
-                id,
-                DirServer::with_sid(config.dms_backend, config.kv.clone(), i),
-                Some(m),
-            );
-            dms.push(Arc::new(ep) as DmsEndpoint);
-            dms_guards.push(guard);
-        }
-        let mut fms = Vec::new();
-        let mut fms_guards = Vec::new();
-        for i in 0..config.num_fms {
-            let id = ServerId::new(class::FMS, i);
-            let m = EndpointMetrics::register(&registry, id);
-            let (ep, guard) = loco_net::spawn_with_metrics(
-                id,
-                FileServer::new(i + 1, config.fms_mode, config.kv.clone()),
-                Some(m),
-            );
-            fms.push(Arc::new(ep) as FmsEndpoint);
-            fms_guards.push(guard);
-        }
-        let mut ost = Vec::new();
-        let mut ost_guards = Vec::new();
-        for i in 0..config.num_ost {
-            let id = ServerId::new(class::OST, i);
-            let m = EndpointMetrics::register(&registry, id);
-            let (ep, guard) =
-                loco_net::spawn_with_metrics(id, ObjectStore::new(config.kv.clone()), Some(m));
-            ost.push(Arc::new(ep) as OstEndpoint);
-            ost_guards.push(guard);
-        }
-        Self {
-            config,
-            transport: Transport::Thread,
-            dms,
-            fms,
-            ost,
-            registry,
-            tracer,
-            flight,
-            watchdog,
-            _guards: ServerGuards::Thread {
-                _dms: dms_guards,
-                _fms: fms_guards,
-                _ost: ost_guards,
-            },
+            _guards: Vec::new(),
         }
     }
 
@@ -438,7 +364,7 @@ impl TransportCluster {
             tracer,
             flight,
             watchdog,
-            _guards: ServerGuards::Tcp(guards),
+            _guards: guards,
         }
     }
 
@@ -501,7 +427,7 @@ impl TransportCluster {
             tracer,
             flight,
             watchdog,
-            _guards: ServerGuards::None,
+            _guards: Vec::new(),
         }
     }
 
@@ -536,8 +462,8 @@ mod tests {
     #[test]
     fn transport_parses_flag_values() {
         assert_eq!(Transport::parse("sim"), Some(Transport::Sim));
-        assert_eq!(Transport::parse("Thread"), Some(Transport::Thread));
         assert_eq!(Transport::parse("TCP"), Some(Transport::Tcp));
+        assert_eq!(Transport::parse("thread"), None);
         assert_eq!(Transport::parse("carrier-pigeon"), None);
         assert_eq!(Transport::Tcp.name(), "tcp");
     }
@@ -580,10 +506,6 @@ mod tests {
             let t = c.take_trace();
             (st.access.mode, missing, t.visits)
         };
-        let sim = run(Transport::Sim);
-        let thread = run(Transport::Thread);
-        let tcp = run(Transport::Tcp);
-        assert_eq!(sim, thread);
-        assert_eq!(sim, tcp);
+        assert_eq!(run(Transport::Sim), run(Transport::Tcp));
     }
 }

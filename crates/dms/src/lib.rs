@@ -24,10 +24,6 @@
 //! Path keys therefore form one contiguous lexicographic region that
 //! rename can extract without touching dirent records.
 
-pub mod replica;
-
-pub use replica::ReplicatedDms;
-
 use loco_kv::{BTreeDb, HashDb, KvConfig, KvStore};
 use loco_net::{Nanos, Service};
 use loco_repl::{ReplCtl, ReplInfo, Role};
@@ -846,12 +842,15 @@ impl Service for DirServer {
         !matches!(tag, 2 | 3 | 4 | 7 | 14)
     }
 
-    /// Reads are trivially idempotent; `SetDirAttr` sets absolute
-    /// values and the replication stream (`ReplAppend`/`ReplSnapshot`)
-    /// is sequence-guarded, so re-sending after an ambiguous loss is
-    /// safe. `Mkdir`/`Rmdir`/`RenameDir`/dirent edits/`Promote` are
-    /// not: a blind re-send can double-apply (e.g. `AlreadyExists` on
-    /// a mkdir that did land) — those surface `MaybeApplied`.
+    /// Reads are trivially idempotent; a chmod-only `SetDirAttr` sets
+    /// absolute values and the replication stream
+    /// (`ReplAppend`/`ReplSnapshot`) is sequence-guarded, so re-sending
+    /// after an ambiguous loss is safe. `Mkdir`/`Rmdir`/`RenameDir`/
+    /// dirent edits/`Promote` are not: a blind re-send can double-apply
+    /// (e.g. `AlreadyExists` on a mkdir that did land) — those surface
+    /// `MaybeApplied`. Nor is a `SetDirAttr` that changes the owner:
+    /// once it landed, the caller may no longer own the directory, and
+    /// the re-send fails the owner check.
     fn req_idempotent(req: &DmsRequest) -> bool {
         matches!(
             req,
@@ -859,7 +858,10 @@ impl Service for DirServer {
                 | DmsRequest::StatDir { .. }
                 | DmsRequest::ReaddirSubdirs { .. }
                 | DmsRequest::CheckAccess { .. }
-                | DmsRequest::SetDirAttr { .. }
+                | DmsRequest::SetDirAttr {
+                    new_owner: None,
+                    ..
+                }
                 | DmsRequest::ReplAppend { .. }
                 | DmsRequest::ReplSnapshot { .. }
                 | DmsRequest::ReplStatus {}

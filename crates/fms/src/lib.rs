@@ -742,12 +742,19 @@ impl Service for FileServer {
 
     /// Safe to blind-retry: all reads, plus attribute/content setters that
     /// overwrite with caller-supplied values (re-applying is a no-op).
-    /// Create/Remove/TakeFile are existence-sensitive and stay non-idempotent
-    /// so an ambiguous outcome surfaces as `MaybeApplied`.
+    /// Create/Remove/TakeFile/PutFile are existence-sensitive (a re-sent
+    /// PutFile that landed answers `AlreadyExists`), and Chown is
+    /// owner-sensitive (a re-sent chown that landed fails the owner
+    /// check), so they stay non-idempotent and an ambiguous outcome
+    /// surfaces as `MaybeApplied`.
     fn req_idempotent(req: &FmsRequest) -> bool {
         !matches!(
             req,
-            FmsRequest::Create { .. } | FmsRequest::Remove { .. } | FmsRequest::TakeFile { .. }
+            FmsRequest::Create { .. }
+                | FmsRequest::Remove { .. }
+                | FmsRequest::TakeFile { .. }
+                | FmsRequest::PutFile { .. }
+                | FmsRequest::Chown { .. }
         )
     }
 }

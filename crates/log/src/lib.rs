@@ -449,7 +449,7 @@ pub struct SpanScope {
 
 /// Enter a traced operation: until the guard drops, every event this
 /// thread emits carries `(trace_id, span_id)`. Request dispatch sites
-/// (the epoll worker, the threaded core, the sim endpoint) install one
+/// (the epoll worker, the sim endpoint) install one
 /// around the service handler for sampled ops.
 pub fn span_scope(trace_id: u64, span_id: u64) -> SpanScope {
     let prev = CURRENT_SPAN.with(|c| c.replace((trace_id, span_id)));

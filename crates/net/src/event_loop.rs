@@ -1,8 +1,8 @@
 //! Event-driven server core: one acceptor + N worker readiness loops
 //! + an optional WAL group-commit thread.
 //!
-//! This replaces the thread-per-connection server with a fixed set of
-//! threads, each running a level-triggered [`Poller`] loop:
+//! The server runs on a fixed set of threads, each running a
+//! level-triggered [`Poller`] loop:
 //!
 //! * The **acceptor** owns the listening socket. It accepts
 //!   connections (shedding above `--max-conns`), hands each to a
@@ -73,8 +73,8 @@ const READ_CHUNK: usize = 64 * 1024;
 const WAKE_TOKEN: u64 = u64::MAX;
 
 /// `LOCO_GROUP_COMMIT=off|0|false|no` disables the cross-connection
-/// group committer (each durable request then fsyncs inline, as the
-/// thread-per-connection server did).
+/// group committer: each durable request then fsyncs inline under the
+/// store's sync policy, one fsync per acked mutation.
 fn group_commit_enabled() -> bool {
     match std::env::var("LOCO_GROUP_COMMIT") {
         Ok(v) => !matches!(

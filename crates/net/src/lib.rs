@@ -19,15 +19,13 @@
 //!   is the *execute-then-replay* path used by every benchmark: the
 //!   recorded [`JobTrace`] is either summed for unloaded latency or fed
 //!   to `loco-sim`'s closed-loop simulator for throughput.
-//! * [`ThreadEndpoint`] — runs the service on its own OS thread behind a
-//!   channel, giving real cross-thread request/response behaviour for
-//!   integration tests and the example applications.
 //! * [`TcpEndpoint`] — speaks the framed wire protocol ([`frame`],
-//!   [`rpc`]) to a server hosted by [`serve_tcp`] in another process
-//!   (the `locod` daemon), with connection pooling, request-ID
-//!   multiplexing, per-call deadlines and retry with backoff.
+//!   [`rpc`]) to a server hosted by [`serve_tcp`] — in this process on
+//!   a loopback port, or in a `locod` daemon — with connection pooling,
+//!   request-ID multiplexing, per-call deadlines and retry with
+//!   backoff. This is the real-concurrency path.
 //!
-//! All flavours produce identical visit traces for identical request
+//! Both flavours produce identical visit traces for identical request
 //! sequences, which the integration tests verify. Either flavour can
 //! carry [`EndpointMetrics`] — per-server request counts, service-time
 //! and queue-wait histograms and an in-flight gauge, reported into a
@@ -41,8 +39,6 @@ pub mod metrics;
 pub mod poller;
 pub mod rpc;
 pub mod tcp;
-pub mod threaded;
-mod threaded_core;
 pub mod trace_export;
 
 pub use endpoint::{
@@ -57,7 +53,6 @@ pub use rpc::{
 pub use tcp::{
     control, serve_tcp, serve_tcp_shared, RetryPolicy, ServeOptions, TcpEndpoint, TcpServerGuard,
 };
-pub use threaded::{spawn, spawn_with_metrics, ThreadEndpoint, ThreadServerGuard};
 pub use trace_export::{chrome_trace_of_ops, op_spans};
 
 pub use loco_obs::trace::{OpTrace, TraceCtx, VisitSpan};

@@ -17,8 +17,8 @@
 //!   so histogram sums equal trace sums — the integration tests rely
 //!   on this);
 //! * `loco_rpc_queue_wait_nanos{role,server}` — *real* nanoseconds a
-//!   request waited before its handler ran (lock wait for
-//!   `SimEndpoint`, channel residence for `ThreadEndpoint`);
+//!   request waited before its handler ran (the wait for the service
+//!   lock, in `SimEndpoint` and in the TCP server core alike);
 //! * `loco_rpc_op_service_nanos{role,server,op}` — service time split
 //!   by RPC type (from [`Service::req_label`]);
 //! * `loco_rpc_inflight{role,server}` — requests currently being

@@ -21,9 +21,8 @@ use std::sync::Mutex;
 
 /// Span attribution computed server-side for a traced call: only the
 /// server side is generic over the service, so it alone can resolve
-/// the request label and read `Service::span_attrs`. Travels back in
-/// the reply — over a channel for `ThreadEndpoint`, inside an
-/// [`RpcResponse`] for the TCP transport.
+/// the request label and read `Service::span_attrs`. Travels back
+/// inside the [`RpcResponse`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanReply {
     /// The service's `req_label` for the handled request.

@@ -1,9 +1,8 @@
 //! The real-socket transport: [`TcpEndpoint`] and [`serve_tcp`].
 //!
-//! This is the third [`Endpoint`] flavour — after the in-process
-//! [`SimEndpoint`](crate::SimEndpoint) and the in-process-threaded
-//! [`ThreadEndpoint`](crate::ThreadEndpoint) — and the first that can
-//! cross machine boundaries, which is the deployment shape LocoFS's
+//! This is the second [`Endpoint`] flavour — after the in-process
+//! [`SimEndpoint`](crate::SimEndpoint) — and the one that can cross
+//! machine boundaries, which is the deployment shape LocoFS's
 //! loosely-coupled DMS/FMS split exists for (§3.1).
 //!
 //! Design:
@@ -27,7 +26,7 @@
 //!   inside each [`RpcResponse`], so visit traces — and everything
 //!   replayed from them — are identical across transports. Wall-clock
 //!   only enters through the observability side channel (queue waits,
-//!   metrics), exactly as with `ThreadEndpoint`.
+//!   metrics).
 //!
 //! The server half, [`serve_tcp`], hosts one [`Service`] on a
 //! listening socket via the event-driven core in
@@ -938,19 +937,9 @@ where
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    // `LOCO_SERVER_CORE=threaded` (read once at boot) selects the
-    // legacy thread-per-connection core — the pre-event-loop seed
-    // behaviour, kept as the bench baseline and a debugging fallback.
-    let threaded_core = matches!(
-        std::env::var("LOCO_SERVER_CORE")
-            .map(|v| v.trim().to_ascii_lowercase())
-            .as_deref(),
-        Ok("threaded" | "thread" | "legacy")
-    );
     loco_log::info!("net.srv", "listening";
         role = crate::metrics::role_name(id.class), index = id.index,
-        addr = addr.to_string(),
-        core = if threaded_core { "threaded" } else { "event" });
+        addr = addr.to_string());
     let accept = {
         let shutdown = Arc::clone(&shutdown);
         std::thread::Builder::new()
@@ -959,13 +948,7 @@ where
                 crate::metrics::role_name(id.class),
                 id.index
             ))
-            .spawn(move || {
-                if threaded_core {
-                    crate::threaded_core::run::<S>(listener, svc, shutdown, opts, id)
-                } else {
-                    crate::event_loop::run::<S>(listener, svc, shutdown, opts, id)
-                }
-            })?
+            .spawn(move || crate::event_loop::run::<S>(listener, svc, shutdown, opts, id))?
     };
     Ok(TcpServerGuard {
         addr,

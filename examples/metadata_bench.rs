@@ -11,7 +11,7 @@
 //!           lustre-d2 | indexfs | rawkv        (default loco-c)
 //!   phase:  touch | mkdir | file-stat | dir-stat | rm | rmdir |
 //!           readdir | chmod | chown | truncate | access (default touch)
-//!   --transport sim | thread | tcp  (default sim; LocoFS systems only —
+//!   --transport sim | tcp  (default sim; LocoFS systems only —
 //!           tcp boots in-process localhost servers, or dials an
 //!           external `locod` cluster when LOCO_CLUSTER is set)
 //!   --clients N     closed-loop client count (same as positional 3)
@@ -23,9 +23,9 @@
 //! With `--transport tcp` and a LocoFS system, an extra *wire
 //! throughput* section runs after the modeled sections: real client
 //! threads against in-process durable servers, measured in wall-clock
-//! op/s, once with WAL group commit disabled (the thread-per-connection
-//! seed's fsync-per-RPC behavior) and once enabled — so the group
-//! commit win and the fsyncs-per-op are recorded numbers in
+//! op/s, once with WAL group commit disabled (one fsync per acked
+//! RPC) and once enabled — so the group commit win and the
+//! fsyncs-per-op are recorded numbers in
 //! `results/BENCH_fig08_tcp_pipelined.json`, not claims.
 
 use locofs::baselines::{
@@ -104,7 +104,7 @@ fn main() {
         };
         if let Some(val) = flag_val("--transport") {
             transport = Transport::parse(&val)
-                .unwrap_or_else(|| panic!("unknown transport {val:?} (sim/thread/tcp)"));
+                .unwrap_or_else(|| panic!("unknown transport {val:?} (sim/tcp)"));
         } else if let Some(val) = flag_val("--clients") {
             clients_flag = Some(val.parse().expect("--clients takes a number"));
         } else if let Some(val) = flag_val("--pipeline") {
@@ -227,16 +227,11 @@ fn wire_run(
     items: usize,
     group_commit: bool,
 ) -> (f64, u64) {
-    // All three knobs are read at boot time: pool width when endpoints
-    // dial, server core and group commit when `serve_tcp` starts. The
-    // baseline arm runs the actual seed discipline — thread-per-
-    // connection core, fsync inline per acked RPC — not merely the
-    // event loop with batching disabled.
+    // Both knobs are read at boot time: pool width when endpoints
+    // dial, group commit when `serve_tcp` starts. With group commit
+    // off, each durable handler fsyncs inline before its reply is
+    // written: one fsync per acked RPC.
     std::env::set_var("LOCO_RPC_CONNS", clients.to_string());
-    std::env::set_var(
-        "LOCO_SERVER_CORE",
-        if group_commit { "event" } else { "threaded" },
-    );
     std::env::set_var("LOCO_GROUP_COMMIT", if group_commit { "on" } else { "off" });
     let cluster = TransportCluster::new(config.clone(), Transport::Tcp);
     let registry = cluster.registry.clone();
@@ -307,7 +302,7 @@ fn wire_bench(
         "wire     : {clients} clients x {pipeline} pipelined, {items} creates each, \
          sync-policy {policy_label}"
     );
-    println!("wire     : off = thread-per-connection seed core, on = event loop + group commit");
+    println!("wire     : off = event loop, fsync per acked RPC; on = event loop + group commit");
 
     // Best of TRIALS per configuration, with the off/on arms
     // *interleaved* so drifting background load hits both arms alike

@@ -11,8 +11,7 @@ BINS=(
   fig01_gap fig02_locating fig06_latency_create fig07_latency_ops
   fig08_throughput fig09_gap_bridge fig10_flattened fig11_decoupled
   fig12_fullsystem fig13_depth fig14_rename table1_matrix table3_clients
-  ablation_dms_shards ablation_rename_mix ablation_dms_replication
-  ablation_readdirplus
+  ablation_dms_shards ablation_rename_mix ablation_readdirplus
 )
 
 cargo build --release -p loco-bench

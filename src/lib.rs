@@ -16,7 +16,7 @@
 //! * [`faults`] — deterministic crash-point / I/O fault injection
 //!   (env-armed, zero-cost when off) used by the crash-recovery tests;
 //! * [`dms`] / [`fms`] / [`ostore`] — the three server roles;
-//! * [`net`] — the RPC layer (simulated + threaded endpoints);
+//! * [`net`] — the RPC layer (simulated + TCP endpoints);
 //! * [`obs`] — the observability substrate: metrics registry,
 //!   log-bucketed latency histograms, Prometheus + Chrome-trace export;
 //! * [`log`] — structured trace-correlated logging (per-daemon ring,

@@ -2,9 +2,9 @@
 //! instrumentation, and trace export working together across the
 //! stack. These are the acceptance tests of the `loco-obs` subsystem:
 //!
-//! * both transports (simulated lock-served, threaded channel-served)
-//!   feed identical virtual-cost histograms for identical workloads,
-//!   and both agree with the visit traces the client records;
+//! * both transports (simulated in-process, TCP event core) feed
+//!   identical virtual-cost histograms for identical workloads, and
+//!   both agree with the visit traces the client records;
 //! * `MetricsRegistry::snapshot()` / `render_prometheus()` are safe
 //!   while server threads are concurrently recording;
 //! * a multi-visit operation (create: DMS then FMS) exports to Chrome
@@ -16,10 +16,24 @@ use locofs::client::{ClusterReport, LocoCluster, LocoConfig};
 use locofs::dms::{DirServer, DmsBackend, DmsRequest, DmsResponse};
 use locofs::kv::KvConfig;
 use locofs::net::{
-    chrome_trace_of_ops, class, spawn_with_metrics, CallCtx, Endpoint, EndpointMetrics, ServerId,
-    SimEndpoint,
+    chrome_trace_of_ops, class, serve_tcp, CallCtx, Endpoint, EndpointMetrics, ServeOptions,
+    ServerId, SimEndpoint, TcpEndpoint, TcpServerGuard,
 };
 use locofs::obs::{parse_chrome_trace, LogHistogram, MetricsRegistry};
+use std::net::TcpListener;
+
+/// Host a DMS on an ephemeral loopback port behind the TCP event core
+/// and dial it.
+fn serve_dms(
+    id: ServerId,
+    svc: DirServer,
+    opts: ServeOptions,
+) -> (TcpEndpoint<DirServer>, TcpServerGuard) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let guard = serve_tcp(id, svc, listener, opts).expect("serve");
+    let ep = TcpEndpoint::connect(id, &guard.addr().to_string());
+    (ep, guard)
+}
 
 /// Drive the same mkdir/stat mix through any endpoint, returning the
 /// accumulated visit trace.
@@ -49,7 +63,7 @@ fn dms_script(ep: &dyn Endpoint<DmsRequest, DmsResponse>) -> locofs::sim::des::J
 }
 
 #[test]
-fn thread_and_sim_endpoints_record_identical_metrics() {
+fn tcp_and_sim_endpoints_record_identical_metrics() {
     let id = ServerId::new(class::DMS, 0);
     let mk = || DirServer::new(DmsBackend::BTree, KvConfig::default());
 
@@ -57,21 +71,27 @@ fn thread_and_sim_endpoints_record_identical_metrics() {
     let sim_ep = SimEndpoint::new(id, mk()).with_metrics(EndpointMetrics::register(&sim_reg, id));
     let sim_trace = dms_script(&sim_ep);
 
-    let thr_reg = MetricsRegistry::shared();
-    let thr_metrics = EndpointMetrics::register(&thr_reg, id);
-    let (thr_ep, _guard) = spawn_with_metrics(id, mk(), Some(thr_metrics.clone()));
-    let thr_trace = dms_script(&thr_ep);
+    let tcp_reg = MetricsRegistry::shared();
+    let tcp_metrics = EndpointMetrics::register(&tcp_reg, id);
+    let opts = ServeOptions {
+        metrics: Some(tcp_metrics.clone()),
+        ..Default::default()
+    };
+    let (tcp_ep, _guard) = serve_dms(id, mk(), opts);
+    let tcp_trace = dms_script(&tcp_ep);
 
     // Both transports executed the same service code over the same
     // requests, so the virtual costs in the traces are identical...
-    assert_eq!(sim_trace.visits, thr_trace.visits);
+    assert_eq!(sim_trace.visits, tcp_trace.visits);
 
     // ...and the metrics each endpoint recorded agree with each other
     // and with the trace: 60 requests, service-time sum equal to the
     // summed visit costs.
     let trace_service: u64 = sim_trace.visits.iter().map(|v| v.service).sum();
     let sim_metrics = sim_ep.metrics().expect("sim endpoint has metrics");
-    for m in [&**sim_metrics, &*thr_metrics] {
+    // The server records a request before writing its reply, so each
+    // synchronous call's metrics are complete when it returns.
+    for m in [&**sim_metrics, &*tcp_metrics] {
         assert_eq!(m.requests(), 60);
         assert_eq!(m.service_total(), trace_service);
         assert_eq!(m.inflight(), 0, "in-flight gauge returns to zero");
@@ -79,7 +99,7 @@ fn thread_and_sim_endpoints_record_identical_metrics() {
 
     // The per-RPC-type family splits the same total: Mkdir + GetDir
     // service histograms sum back to the aggregate.
-    for reg in [&sim_reg, &thr_reg] {
+    for reg in [&sim_reg, &tcp_reg] {
         let snap = reg.snapshot();
         let per_op: u64 = ["Mkdir", "GetDir"]
             .iter()
@@ -103,10 +123,16 @@ fn snapshot_is_safe_while_server_threads_record() {
     let id = ServerId::new(class::DMS, 0);
     let reg = MetricsRegistry::shared();
     let metrics = EndpointMetrics::register(&reg, id);
-    let (ep, _guard) = spawn_with_metrics(
+    // The server core's own families record into the same registry.
+    let opts = ServeOptions {
+        metrics: Some(metrics.clone()),
+        registry: Some(reg.clone()),
+        ..Default::default()
+    };
+    let (ep, _guard) = serve_dms(
         id,
         DirServer::new(DmsBackend::Hash, KvConfig::default()),
-        Some(metrics.clone()),
+        opts,
     );
 
     const CLIENTS: usize = 4;
@@ -321,14 +347,14 @@ fn span_trees_agree_across_transports() {
     let mk = || DirServer::new(DmsBackend::BTree, KvConfig::default());
 
     let sim_spans = traced_dms_script(&SimEndpoint::new(id, mk()));
-    let (thr_ep, _guard) = locofs::net::spawn(id, mk());
-    let thr_spans = traced_dms_script(&thr_ep);
+    let (tcp_ep, _guard) = serve_dms(id, mk(), ServeOptions::default());
+    let tcp_spans = traced_dms_script(&tcp_ep);
 
     // Queue wait is real wall-clock time and legitimately differs
-    // between a lock (sim) and a channel (threaded); everything else —
-    // span ids, parents, op labels, virtual service costs, and the
-    // KV/software attribution shipped back across the channel — must
-    // be identical.
+    // between the in-process call and the server core; everything
+    // else — span ids, parents, op labels, virtual service costs, and
+    // the KV/software attribution shipped back over the wire — must be
+    // identical.
     let normalize = |spans: Vec<locofs::obs::VisitSpan>| {
         spans
             .into_iter()
@@ -338,9 +364,9 @@ fn span_trees_agree_across_transports() {
             })
             .collect::<Vec<_>>()
     };
-    let (sim_spans, thr_spans) = (normalize(sim_spans), normalize(thr_spans));
+    let (sim_spans, tcp_spans) = (normalize(sim_spans), normalize(tcp_spans));
     assert_eq!(sim_spans.len(), 25);
-    assert_eq!(sim_spans, thr_spans);
+    assert_eq!(sim_spans, tcp_spans);
     // The span tree is attributed: each visit splits its service time
     // into software and KV shares.
     for s in &sim_spans {

@@ -6,8 +6,8 @@
 //!   `loco_alloc_per_op` histograms attribute allocations with tracing
 //!   entirely off;
 //! * folded stacks derived from the span trees are identical across
-//!   the sim, threaded, and TCP transports (modulo wall-clock queue
-//!   frames), round-trip through render/parse, and conserve total
+//!   the sim and TCP transports (modulo wall-clock queue frames),
+//!   round-trip through render/parse, and conserve total
 //!   attributed time;
 //! * `locod profile` returns parseable folded stacks from a live
 //!   daemon, and `locotop --once --json` renders a full cluster
@@ -119,8 +119,8 @@ fn folded_create_workload(transport: Transport) -> FoldedStacks {
     fold_records(&cluster.flight.recent())
 }
 
-/// Queue-wait frames are wall-clock and legitimately differ between a
-/// lock, a channel, and a socket; everything else in the fold is
+/// Queue-wait frames are wall-clock and legitimately differ between an
+/// in-process call and a socket; everything else in the fold is
 /// virtual-cost and must agree bit-for-bit.
 fn drop_queue_frames(stacks: FoldedStacks) -> FoldedStacks {
     stacks
@@ -132,10 +132,8 @@ fn drop_queue_frames(stacks: FoldedStacks) -> FoldedStacks {
 #[test]
 fn folded_stacks_agree_across_transports_and_round_trip() {
     let sim = drop_queue_frames(folded_create_workload(Transport::Sim));
-    let thr = drop_queue_frames(folded_create_workload(Transport::Thread));
     let tcp = drop_queue_frames(folded_create_workload(Transport::Tcp));
     assert!(!sim.is_empty());
-    assert_eq!(sim, thr, "sim vs thread folds");
     assert_eq!(sim, tcp, "sim vs tcp folds");
 
     // Golden shape of the create workload: client work, network, and

@@ -1,24 +1,42 @@
-//! Real-concurrency integration: servers on OS threads behind channels
-//! (`ThreadEndpoint`), many client threads, final state cross-checked.
-//! Complements the deterministic simulated transport the benchmarks use
-//! — and verifies both transports produce identical visit traces.
+//! Real-concurrency integration: servers behind the TCP event core on
+//! loopback ports, many client threads sharing each `TcpEndpoint`'s
+//! connection pool, final state cross-checked. Complements the
+//! deterministic simulated transport the benchmarks use — and verifies
+//! both transports produce identical visit traces.
 
 use locofs::dms::{DirServer, DmsBackend, DmsRequest, DmsResponse};
 use locofs::fms::{FileServer, FmsMode, FmsRequest, FmsResponse};
 use locofs::kv::KvConfig;
-use locofs::net::{class, spawn, CallCtx, Endpoint, ServerId, SimEndpoint};
-use locofs::types::HashRing;
+use locofs::net::{
+    class, serve_tcp, CallCtx, Endpoint, ServeOptions, ServerId, Service, SimEndpoint, TcpEndpoint,
+    TcpServerGuard,
+};
+use locofs::types::{HashRing, Wire};
+use std::net::TcpListener;
+
+/// Host `svc` on an ephemeral loopback port and dial it.
+fn serve<S>(id: ServerId, svc: S) -> (TcpEndpoint<S>, TcpServerGuard)
+where
+    S: Service + 'static,
+    S::Req: Wire,
+    S::Resp: Wire,
+{
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let guard = serve_tcp(id, svc, listener, ServeOptions::default()).expect("serve");
+    let ep = TcpEndpoint::connect(id, &guard.addr().to_string());
+    (ep, guard)
+}
 
 #[test]
 fn concurrent_clients_build_a_consistent_namespace() {
-    let (dms, _dg) = spawn(
+    let (dms, _dg) = serve(
         ServerId::new(class::DMS, 0),
         DirServer::new(DmsBackend::BTree, KvConfig::default()),
     );
     let mut fms = Vec::new();
     let mut guards = Vec::new();
     for i in 0..3u16 {
-        let (ep, g) = spawn(
+        let (ep, g) = serve(
             ServerId::new(class::FMS, i),
             FileServer::new(i + 1, FmsMode::Decoupled, KvConfig::default()),
         );
@@ -109,7 +127,7 @@ fn concurrent_clients_build_a_consistent_namespace() {
 
 #[test]
 fn duplicate_creates_race_to_exactly_one_winner() {
-    let (dms, _g) = spawn(
+    let (dms, _g) = serve(
         ServerId::new(class::DMS, 0),
         DirServer::new(DmsBackend::BTree, KvConfig::default()),
     );
@@ -144,10 +162,10 @@ fn duplicate_creates_race_to_exactly_one_winner() {
 }
 
 #[test]
-fn sim_and_thread_transports_agree_on_traces() {
+fn sim_and_tcp_transports_agree_on_traces() {
     let mk = || DirServer::new(DmsBackend::BTree, KvConfig::default());
     let sim = SimEndpoint::new(ServerId::new(class::DMS, 0), mk());
-    let (thr, _g) = spawn(ServerId::new(class::DMS, 0), mk());
+    let (tcp, _g) = serve(ServerId::new(class::DMS, 0), mk());
 
     let script = |ep: &dyn Endpoint<DmsRequest, DmsResponse>| {
         let mut ctx = CallCtx::new();
@@ -167,6 +185,6 @@ fn sim_and_thread_transports_agree_on_traces() {
         ctx.take_trace()
     };
     let a = script(&sim);
-    let b = script(&thr);
+    let b = script(&tcp);
     assert_eq!(a.visits, b.visits, "transports must charge identically");
 }

@@ -1,6 +1,6 @@
-//! Three-way transport equivalence: the same workload over
-//! `SimEndpoint`, `ThreadEndpoint` and `TcpEndpoint` must yield
-//! identical operation results and error codes, and — because servers
+//! Transport equivalence: the same workload over `SimEndpoint` and
+//! `TcpEndpoint` must yield identical operation results and error
+//! codes, and — because servers
 //! return their *virtual* service cost in every reply — structurally
 //! identical flight-recorder span trees (same visit order, same
 //! KV-vs-software attribution, same unloaded latency). Only queue-wait
@@ -131,9 +131,8 @@ fn run(transport: Transport) -> (Vec<String>, Vec<String>) {
 }
 
 #[test]
-fn sim_thread_and_tcp_agree_on_results_and_span_trees() {
+fn sim_and_tcp_agree_on_results_and_span_trees() {
     let (sim_results, sim_spans) = run(Transport::Sim);
-    let (thr_results, thr_spans) = run(Transport::Thread);
     let (tcp_results, tcp_spans) = run(Transport::Tcp);
 
     assert!(!sim_results.is_empty());
@@ -142,9 +141,7 @@ fn sim_thread_and_tcp_agree_on_results_and_span_trees() {
         "TraceMode::All must populate the flight recorder"
     );
 
-    assert_eq!(sim_results, thr_results, "sim vs thread op results");
     assert_eq!(sim_results, tcp_results, "sim vs tcp op results");
-    assert_eq!(sim_spans, thr_spans, "sim vs thread span trees");
     assert_eq!(sim_spans, tcp_spans, "sim vs tcp span trees");
 }
 
@@ -165,7 +162,6 @@ fn error_codes_survive_the_wire_byte_exactly() {
         ]
     };
     let sim = probe(Transport::Sim);
-    assert_eq!(sim, probe(Transport::Thread));
     assert_eq!(sim, probe(Transport::Tcp));
     assert_eq!(
         sim,
@@ -209,7 +205,9 @@ fn mdtest_phases_agree_across_transports() {
         }
         digest
     };
-    let sim = run(Transport::Sim);
-    assert_eq!(sim, run(Transport::Thread), "sim vs thread mdtest digest");
-    assert_eq!(sim, run(Transport::Tcp), "sim vs tcp mdtest digest");
+    assert_eq!(
+        run(Transport::Sim),
+        run(Transport::Tcp),
+        "sim vs tcp mdtest digest"
+    );
 }

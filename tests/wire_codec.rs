@@ -4,12 +4,15 @@
 //! decode errors — never a panic, never an unbounded allocation. Same
 //! contract style as `DirentList::decode`'s corrupt-buffer tests.
 
-use locofs::dms::{DmsRequest, DmsResponse};
-use locofs::fms::{FmsRequest, FmsResponse};
+use locofs::dms::{DirServer, DmsRequest, DmsResponse};
+use locofs::fms::{FileServer, FmsMode, FmsRequest, FmsResponse};
+use locofs::kv::{AccessStats, BTreeDb, HashDb, KvConfig, KvStore};
 use locofs::net::frame::{crc32, decode_header, encode_frame, read_frame, FrameKind, HEADER_LEN};
-use locofs::net::{ReplStamp, RpcRequest, RpcResponse, SpanReply, TraceCtx};
-use locofs::ostore::{OstoreRequest, OstoreResponse};
-use locofs::types::{DirInode, FileAccess, FileContent, FsError, Perm, Uuid, Wire};
+use locofs::net::{Nanos, ReplStamp, RpcRequest, RpcResponse, Service, SpanReply, TraceCtx};
+use locofs::ostore::{ObjectStore, OstoreRequest, OstoreResponse};
+use locofs::types::{DirInode, FileAccess, FileContent, FsError, Perm, Uuid, Wire, WireError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 fn access() -> FileAccess {
     FileAccess {
@@ -108,6 +111,18 @@ fn dms_requests() -> Vec<DmsRequest> {
             dir_uuid: uuid(1),
             name: "x".into(),
         },
+        DmsRequest::ReplAppend {
+            epoch: 2,
+            first_seq: 40,
+            group: vec![0x5A; 24],
+        },
+        DmsRequest::ReplSnapshot {
+            epoch: 2,
+            last_seq: 39,
+            image: vec![0xC3; 32],
+        },
+        DmsRequest::ReplStatus {},
+        DmsRequest::Promote {},
     ]
 }
 
@@ -405,7 +420,7 @@ fn oversized_length_fields_error_without_allocating() {
 
 #[test]
 fn unknown_enum_tags_are_rejected() {
-    for bad_tag in [12u8, 200, 255] {
+    for bad_tag in [16u8, 200, 255] {
         let mut bytes = DmsRequest::GetDir { path: "/x".into() }.to_wire();
         bytes[0] = bad_tag;
         assert!(DmsRequest::from_wire(&bytes).is_err(), "tag {bad_tag}");
@@ -511,4 +526,283 @@ fn random_garbage_never_decodes_as_anything_dangerous() {
         let _ = RpcResponse::<FmsResponse>::from_wire(&noise);
         let _ = read_frame(&mut &noise[..]);
     }
+}
+
+// ---- op classification vs the codec and the handlers -----------------
+//
+// `Service::tag_mutates` (admission control sheds by raw wire tag) and
+// `Service::req_idempotent` (blind retry vs `MaybeApplied`) restate
+// facts about each request. These checks tie them to the codec's tag
+// space and to what the handlers actually do to the store.
+
+/// A store wrapper counting the calls that change contents. The inner
+/// store is shared, so a test can read it back after handing the
+/// wrapper to a server.
+#[derive(Clone)]
+struct Counted {
+    inner: Arc<Mutex<Box<dyn KvStore>>>,
+    mutations: Arc<AtomicU64>,
+}
+
+impl Counted {
+    fn new(inner: Box<dyn KvStore>) -> Self {
+        Self {
+            inner: Arc::new(Mutex::new(inner)),
+            mutations: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    fn db(&self) -> MutexGuard<'_, Box<dyn KvStore>> {
+        self.inner.lock().unwrap()
+    }
+
+    fn mutated(&self) {
+        self.mutations.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Every record, sorted (hash stores scan in arbitrary order).
+    fn contents(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut all = self.db().scan_prefix(b"");
+        all.sort();
+        all
+    }
+}
+
+impl KvStore for Counted {
+    fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+        self.db().get(key)
+    }
+    fn put(&mut self, key: &[u8], value: &[u8]) {
+        self.mutated();
+        self.db().put(key, value)
+    }
+    fn delete(&mut self, key: &[u8]) -> bool {
+        self.mutated();
+        self.db().delete(key)
+    }
+    fn contains(&mut self, key: &[u8]) -> bool {
+        self.db().contains(key)
+    }
+    fn read_at(&mut self, key: &[u8], off: usize, len: usize) -> Option<Vec<u8>> {
+        self.db().read_at(key, off, len)
+    }
+    fn write_at(&mut self, key: &[u8], off: usize, data: &[u8]) -> bool {
+        self.mutated();
+        self.db().write_at(key, off, data)
+    }
+    fn append(&mut self, key: &[u8], data: &[u8]) {
+        self.mutated();
+        self.db().append(key, data)
+    }
+    fn scan_prefix(&mut self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.db().scan_prefix(prefix)
+    }
+    fn extract_prefix(&mut self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.mutated();
+        self.db().extract_prefix(prefix)
+    }
+    fn len(&self) -> usize {
+        self.db().len()
+    }
+    fn ordered(&self) -> bool {
+        self.db().ordered()
+    }
+    fn take_cost(&mut self) -> Nanos {
+        self.db().take_cost()
+    }
+    fn stats(&self) -> AccessStats {
+        self.db().stats()
+    }
+    fn reset_stats(&mut self) {
+        self.db().reset_stats()
+    }
+}
+
+/// What the classification checks need to know about one server role.
+struct Role<S: Service> {
+    samples: Vec<S::Req>,
+    /// A fresh backing store.
+    store: fn() -> Box<dyn KvStore>,
+    /// A server over `store`.
+    boot: fn(Box<dyn KvStore>) -> S,
+    /// Requests that create what the samples act on.
+    populate: Vec<S::Req>,
+    /// The response reports success.
+    ok: fn(&S::Resp) -> bool,
+}
+
+impl<S: Service> Role<S>
+where
+    S::Req: Clone + Wire,
+{
+    /// A server whose store has seen `seed`, plus a handle on that store.
+    fn seeded(&self, seed: &[S::Req]) -> (S, Counted) {
+        let store = Counted::new((self.store)());
+        let mut server = (self.boot)(Box::new(store.clone()));
+        for req in seed {
+            let resp = server.handle(req.clone());
+            assert!((self.ok)(&resp), "seed {} failed", S::req_label(req));
+        }
+        (server, store)
+    }
+
+    /// Read-only tags must leave the store untouched.
+    fn read_only_violations(&self) -> Vec<String> {
+        let mut bad = Vec::new();
+        for req in &self.samples {
+            if S::tag_mutates(req.to_wire()[0]) {
+                continue;
+            }
+            let (mut server, store) = self.seeded(&self.populate);
+            let before = store.mutations.load(Ordering::Relaxed);
+            server.handle(req.clone());
+            let calls = store.mutations.load(Ordering::Relaxed) - before;
+            if calls > 0 {
+                bad.push(format!(
+                    "{} is read-only but made {calls} mutating KV calls",
+                    S::req_label(req)
+                ));
+            }
+        }
+        bad
+    }
+
+    /// Idempotent requests, handled twice where one run succeeds, must
+    /// leave the store as one run does and must not fail the second time.
+    fn idempotence_violations(&self, skip: &[&str]) -> Vec<String> {
+        let mut bad = Vec::new();
+        let seeds = [self.populate.clone(), Vec::new()];
+        for req in &self.samples {
+            let label = S::req_label(req);
+            if !S::req_idempotent(req) || skip.contains(&label) {
+                continue;
+            }
+            let Some((seed, once)) = seeds.iter().find_map(|seed| {
+                let (mut server, store) = self.seeded(seed);
+                (self.ok)(&server.handle(req.clone())).then(|| (seed, store.contents()))
+            }) else {
+                bad.push(format!("{label}: no seed lets one run succeed"));
+                continue;
+            };
+            let (mut server, store) = self.seeded(seed);
+            server.handle(req.clone());
+            if !(self.ok)(&server.handle(req.clone())) {
+                bad.push(format!("{label} is idempotent but its second run fails"));
+            }
+            if store.contents() != once {
+                bad.push(format!(
+                    "{label} is idempotent but a second run changes the store"
+                ));
+            }
+        }
+        bad
+    }
+}
+
+fn dms_role() -> Role<DirServer> {
+    Role {
+        samples: dms_requests(),
+        store: || Box::new(BTreeDb::new(KvConfig::default())),
+        boot: |db| DirServer::with_store(db, 0),
+        populate: vec![DmsRequest::Mkdir {
+            path: "/a".into(),
+            mode: 0o755,
+            uid: 1,
+            gid: 2,
+            ts: 3,
+        }],
+        ok: |resp| match resp {
+            DmsResponse::Dir(r) => r.is_ok(),
+            DmsResponse::Dirents(r) => r.is_ok(),
+            DmsResponse::Done(r) => r.is_ok(),
+            DmsResponse::Bool(_) => true,
+            DmsResponse::Repl(info) => info.ok,
+        },
+    }
+}
+
+fn fms_role() -> Role<FileServer> {
+    Role {
+        samples: fms_requests(),
+        store: || {
+            let cfg = FileServer::tune_cfg(FmsMode::Decoupled, KvConfig::default());
+            Box::new(HashDb::new(cfg))
+        },
+        boot: |db| FileServer::with_store(db, 1, FmsMode::Decoupled),
+        populate: vec![FmsRequest::Create {
+            dir_uuid: uuid(1),
+            name: "f".into(),
+            mode: 0o644,
+            uid: 1,
+            gid: 2,
+            ts: 3,
+        }],
+        ok: |resp| match resp {
+            FmsResponse::Created(r) | FmsResponse::Removed(r) => r.is_ok(),
+            FmsResponse::Opened(r) => r.is_ok(),
+            FmsResponse::Statted(r) | FmsResponse::Taken(r) => r.is_ok(),
+            FmsResponse::Content(r) => r.is_ok(),
+            FmsResponse::Done(r) => r.is_ok(),
+            FmsResponse::Bool(_)
+            | FmsResponse::Names(_)
+            | FmsResponse::NamesPlus(_)
+            | FmsResponse::Count(_) => true,
+        },
+    }
+}
+
+fn ost_role() -> Role<ObjectStore> {
+    Role {
+        samples: ost_requests(),
+        store: || Box::new(HashDb::new(KvConfig::default())),
+        boot: ObjectStore::with_store,
+        populate: vec![OstoreRequest::WriteBlock {
+            uuid: uuid(1),
+            blk: 3,
+            data: vec![0xAB; 64],
+        }],
+        ok: |resp| match resp {
+            OstoreResponse::Done(r) => r.is_ok(),
+            OstoreResponse::Block(r) => r.is_ok(),
+            OstoreResponse::Removed(_) => true,
+        },
+    }
+}
+
+/// Every tag byte the decoder accepts (anything but `BadTag` when the
+/// tag is the whole input) has a sample above.
+fn unsampled_tags<T: Wire>(what: &str, samples: &[T]) -> Vec<String> {
+    let sampled: Vec<u8> = samples.iter().map(|s| s.to_wire()[0]).collect();
+    (0..=u8::MAX)
+        .filter(|tag| !matches!(T::from_wire(&[*tag]), Err(WireError::BadTag { .. })))
+        .filter(|tag| !sampled.contains(tag))
+        .map(|tag| format!("{what} tag {tag} decodes but has no sample"))
+        .collect()
+}
+
+#[test]
+fn every_accepted_request_tag_has_a_sample() {
+    let mut bad = unsampled_tags("dms", &dms_requests());
+    bad.extend(unsampled_tags("fms", &fms_requests()));
+    bad.extend(unsampled_tags("ost", &ost_requests()));
+    assert!(bad.is_empty(), "{bad:#?}");
+}
+
+#[test]
+fn read_only_tags_make_no_mutating_kv_calls() {
+    let mut bad = dms_role().read_only_violations();
+    bad.extend(fms_role().read_only_violations());
+    bad.extend(ost_role().read_only_violations());
+    assert!(bad.is_empty(), "{bad:#?}");
+}
+
+#[test]
+fn idempotent_requests_handled_twice_match_once() {
+    // Replication requests need a replica set; a standalone server
+    // answers them with `ok: false`.
+    let repl = ["ReplAppend", "ReplSnapshot", "ReplStatus"];
+    let mut bad = dms_role().idempotence_violations(&repl);
+    bad.extend(fms_role().idempotence_violations(&[]));
+    bad.extend(ost_role().idempotence_violations(&[]));
+    assert!(bad.is_empty(), "{bad:#?}");
 }
