@@ -257,10 +257,8 @@ mod overload {
     /// One full arm: boot a slow durable DMS (guard per `LOCO_GUARD`,
     /// already set by the caller), measure capacity, then goodput at 4x.
     fn run_arm(arm: &str, secs: f64, report: &mut BenchReport) -> ArmResult {
-        let scratch = std::env::temp_dir().join(format!(
-            "loco-fig08-overload-{}-{arm}",
-            std::process::id()
-        ));
+        let scratch =
+            std::env::temp_dir().join(format!("loco-fig08-overload-{}-{arm}", std::process::id()));
         let _ = std::fs::remove_dir_all(&scratch);
         std::fs::create_dir_all(&scratch).unwrap();
         let id = ServerId::new(class::DMS, 0);
@@ -312,7 +310,11 @@ mod overload {
         guard.shutdown();
         let _ = std::fs::remove_dir_all(&scratch);
 
-        let ratio = if capacity > 0.0 { goodput / capacity } else { 0.0 };
+        let ratio = if capacity > 0.0 {
+            goodput / capacity
+        } else {
+            0.0
+        };
         let labels = [("guard", arm)];
         report.push("capacity_ops_per_s", &labels, capacity);
         report.push("goodput_ops_per_s", &labels, goodput);
@@ -350,7 +352,13 @@ mod overload {
         std::env::remove_var("LOCO_GUARD");
 
         let mut t = Table::new(vec![
-            "guard", "capacity/s", "goodput/s", "ratio", "p99 ms", "expired", "shed",
+            "guard",
+            "capacity/s",
+            "goodput/s",
+            "ratio",
+            "p99 ms",
+            "expired",
+            "shed",
         ]);
         for (name, r) in [("on", &on), ("off", &off)] {
             t.row(vec![
@@ -371,7 +379,11 @@ mod overload {
 
         let guard_holds = on.ratio >= 0.70;
         let baseline_worse = off.ratio < on.ratio;
-        report.push("guard_on_holds_70pct", &[], f64::from(u8::from(guard_holds)));
+        report.push(
+            "guard_on_holds_70pct",
+            &[],
+            f64::from(u8::from(guard_holds)),
+        );
         report.push(
             "guard_off_degrades_worse",
             &[],
@@ -380,7 +392,11 @@ mod overload {
         println!(
             "verdict: guard-on holds {:.0}% of capacity ({}); guard-off holds {:.0}% ({})",
             on.ratio * 100.0,
-            if guard_holds { "PASS >=70%" } else { "FAIL <70%" },
+            if guard_holds {
+                "PASS >=70%"
+            } else {
+                "FAIL <70%"
+            },
             off.ratio * 100.0,
             if baseline_worse {
                 "degrades worse, as expected"

@@ -152,7 +152,9 @@ impl ChaosProxy {
 
     /// Bytes/second ceiling across each connection (0 = unlimited).
     pub fn set_bandwidth(&self, bytes_per_sec: u64) {
-        self.faults.bandwidth.store(bytes_per_sec, Ordering::Relaxed);
+        self.faults
+            .bandwidth
+            .store(bytes_per_sec, Ordering::Relaxed);
     }
 
     /// Stall all forwarding (true) or resume it (false).
@@ -245,9 +247,11 @@ fn proxy_conn(client: TcpStream, upstream: &str, faults: Arc<Faults>) {
     };
 
     let f_up = Arc::clone(&faults);
-    let up_pump = thread::Builder::new().name("chaos-up".into()).spawn(move || {
-        pump(client, s2, &f_up, gen, Dir::Up);
-    });
+    let up_pump = thread::Builder::new()
+        .name("chaos-up".into())
+        .spawn(move || {
+            pump(client, s2, &f_up, gen, Dir::Up);
+        });
     let f_down = Arc::clone(&faults);
     pump(server, c2, &f_down, gen, Dir::Down);
     if let Ok(h) = up_pump {
@@ -281,7 +285,12 @@ fn pump(mut src: TcpStream, mut dst: TcpStream, faults: &Faults, gen: u64, dir: 
             Ok(0) | Err(_) if dead(faults, gen) => break,
             Ok(0) => break,
             Ok(n) => n,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
                 continue
             }
             Err(_) => break,
@@ -325,7 +334,11 @@ fn dead(faults: &Faults, gen: u64) -> bool {
 /// Write one chunk applying dribble and bandwidth shaping.
 fn forward(dst: &mut TcpStream, data: &[u8], faults: &Faults, gen: u64) -> io::Result<()> {
     let dribble = faults.dribble_chunk.load(Ordering::Relaxed) as usize;
-    let step = if dribble > 0 { dribble } else { data.len().max(1) };
+    let step = if dribble > 0 {
+        dribble
+    } else {
+        data.len().max(1)
+    };
     for piece in data.chunks(step) {
         if dead(faults, gen) {
             return Err(io::Error::new(io::ErrorKind::ConnectionAborted, "killed"));
@@ -504,7 +517,11 @@ mod tests {
         let t0 = std::time::Instant::now();
         assert_eq!(roundtrip(p.addr(), b"ping").unwrap(), b"ping");
         // One up-leg + one down-leg of injected latency.
-        assert!(t0.elapsed() >= Duration::from_millis(100), "{:?}", t0.elapsed());
+        assert!(
+            t0.elapsed() >= Duration::from_millis(100),
+            "{:?}",
+            t0.elapsed()
+        );
         p.shutdown();
     }
 
@@ -514,10 +531,14 @@ mod tests {
         let p = ChaosProxy::start("127.0.0.1:0", &up, None).unwrap();
         p.set_partition(true);
         let mut s = TcpStream::connect(p.addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_millis(120))).unwrap();
+        s.set_read_timeout(Some(Duration::from_millis(120)))
+            .unwrap();
         s.write_all(b"stuck?").unwrap();
         let mut buf = [0u8; 6];
-        assert!(s.read_exact(&mut buf).is_err(), "read must time out while partitioned");
+        assert!(
+            s.read_exact(&mut buf).is_err(),
+            "read must time out while partitioned"
+        );
         // Heal: the buffered bytes flow through and the echo lands.
         p.set_partition(false);
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -553,7 +574,11 @@ mod tests {
         assert_eq!(ctl_send(&ctl, "latency 40").unwrap(), "ok");
         let t0 = std::time::Instant::now();
         assert_eq!(roundtrip(p.addr(), b"x").unwrap(), b"x");
-        assert!(t0.elapsed() >= Duration::from_millis(70), "{:?}", t0.elapsed());
+        assert!(
+            t0.elapsed() >= Duration::from_millis(70),
+            "{:?}",
+            t0.elapsed()
+        );
         assert_eq!(ctl_send(&ctl, "reset").unwrap(), "ok");
         assert!(ctl_send(&ctl, "stat").unwrap().starts_with("ok conns="));
         assert!(ctl_send(&ctl, "nonsense").unwrap().starts_with("err"));

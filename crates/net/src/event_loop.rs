@@ -663,16 +663,17 @@ where
             self.push_out(slot, &frame);
             return Ok(());
         }
-        if guard_on && peek_body_tag(&payload).map_or(true, S::tag_mutates) {
+        if guard_on && peek_body_tag(&payload).is_none_or(S::tag_mutates) {
             // Admission control: past the watermarks, mutations are
             // shed with a fast pre-decode reject (no WAL touch) while
             // reads still drain.
             let inflight_hit =
                 self.opts.max_inflight > 0 && self.parked_total >= self.opts.max_inflight;
             let queue_hit = self.opts.shed_watermark > 0
-                && self.commit.as_ref().is_some_and(|c| {
-                    c.depth.load(Ordering::Relaxed) >= self.opts.shed_watermark
-                });
+                && self
+                    .commit
+                    .as_ref()
+                    .is_some_and(|c| c.depth.load(Ordering::Relaxed) >= self.opts.shed_watermark);
             if inflight_hit || queue_hit {
                 if let Some(m) = &self.srv_metrics {
                     if inflight_hit {
@@ -758,6 +759,9 @@ where
             guard.commit_flush();
             if guard.commit_abort() {
                 // Quorum failed during the inline flush: never ack.
+                if let Some(m) = &self.opts.metrics {
+                    m.abort();
+                }
                 return Err(());
             }
         }
@@ -1230,6 +1234,89 @@ mod tests {
 
     fn released(by_worker: &mut [Vec<ReplyMsg>]) -> Vec<usize> {
         by_worker[0].drain(..).map(|r| r.slot).collect()
+    }
+
+    /// A durable service whose every commit fails its replication
+    /// quorum, and whose group-commit fsync waits for `gate` to open.
+    struct NoQuorum {
+        gate: Arc<AtomicBool>,
+    }
+
+    impl Service for NoQuorum {
+        type Req = ();
+        type Resp = ();
+        fn handle(&mut self, _: ()) {}
+        fn take_cost(&mut self) -> Nanos {
+            0
+        }
+        fn defer_sync(&mut self, _on: bool) -> bool {
+            true
+        }
+        fn take_commit_ticket(&mut self) -> Option<u64> {
+            Some(1)
+        }
+        fn commit_flush_begin(&mut self) -> Option<(u64, CommitFsync)> {
+            let gate = Arc::clone(&self.gate);
+            Some((
+                1,
+                Box::new(move || {
+                    while !gate.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }),
+            ))
+        }
+        fn commit_abort(&mut self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_quorum_failure_while_draining_leaves_nothing_in_flight() {
+        use crate::metrics::EndpointMetrics;
+        let gate = Arc::new(AtomicBool::new(false));
+        let svc = Arc::new(Mutex::new(NoQuorum {
+            gate: Arc::clone(&gate),
+        }));
+        let id = ServerId::new(crate::class::DMS, 0);
+        let metrics = EndpointMetrics::register(&loco_obs::MetricsRegistry::shared(), id);
+        let opts = ServeOptions {
+            metrics: Some(Arc::clone(&metrics)),
+            workers: 1,
+            pipeline_limit: 1,
+            ..Default::default()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let server = {
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || run(listener, svc, shutdown, opts, id))
+        };
+        // Two durable requests in one write: the first parks behind the
+        // gated fsync, the second stays buffered behind it.
+        let req = RpcRequest {
+            budget_ms: 0,
+            trace: None,
+            body: (),
+        }
+        .to_wire();
+        let mut bytes = encode_frame(FrameKind::Request, 1, &req);
+        bytes.extend(encode_frame(FrameKind::Request, 2, &req));
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(&bytes).unwrap();
+        while metrics.requests() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Once draining, the worker flushes the second request inline,
+        // and that flush fails its quorum.
+        shutdown.store(true, Ordering::SeqCst);
+        std::thread::sleep(TICK * 2);
+        gate.store(true, Ordering::SeqCst);
+        server.join().unwrap();
+        assert_eq!(metrics.requests(), 1);
+        assert_eq!(metrics.inflight(), 0);
     }
 
     #[test]

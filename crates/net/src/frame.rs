@@ -13,8 +13,10 @@
 //! * `ver` is the protocol version ([`VERSION`]); a mismatch closes the
 //!   connection — there is no negotiation.
 //! * `kind` routes the payload: request, response, or control.
-//! * `req_id` is the multiplexing key: many client threads share one
-//!   socket, and responses may come back out of order.
+//! * `req_id` pairs a reply with its request. The client sends one call
+//!   at a time per connection and checks that the reply echoes its
+//!   `req_id`; the server still accepts pipelined frames on one
+//!   connection and answers each with its own `req_id`.
 //! * `len` is validated against [`MAX_PAYLOAD`] *before* any
 //!   allocation, so a corrupt length cannot balloon memory.
 //! * `crc32` (IEEE) covers the payload; a mismatch is surfaced as an
@@ -87,7 +89,7 @@ impl FrameKind {
 pub struct Frame {
     /// Payload routing kind.
     pub kind: FrameKind,
-    /// Multiplexing key (0 for control frames).
+    /// Request id, echoed by the reply (0 for control frames).
     pub req_id: u64,
     /// The framed bytes (a `Wire`-encoded value).
     pub payload: Vec<u8>,
@@ -103,9 +105,8 @@ fn bad(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Serialize a frame header + payload into one buffer (one syscall's
-/// worth — a frame must hit the socket atomically under the writer
-/// lock).
+/// Serialize a frame header + payload into one buffer, so a frame
+/// reaches the socket in one write.
 pub fn encode_frame(kind: FrameKind, req_id: u64, payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() <= MAX_PAYLOAD, "frame payload over limit");
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());

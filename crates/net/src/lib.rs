@@ -21,9 +21,9 @@
 //!   to `loco-sim`'s closed-loop simulator for throughput.
 //! * [`TcpEndpoint`] — speaks the framed wire protocol ([`frame`],
 //!   [`rpc`]) to a server hosted by [`serve_tcp`] — in this process on
-//!   a loopback port, or in a `locod` daemon — with connection pooling,
-//!   request-ID multiplexing, per-call deadlines and retry with
-//!   backoff. This is the real-concurrency path.
+//!   a loopback port, or in a `locod` daemon — over pooled connections
+//!   that each carry one call at a time, with per-call deadlines and
+//!   retry with backoff. This is the real-concurrency path.
 //!
 //! Both flavours produce identical visit traces for identical request
 //! sequences, which the integration tests verify. Either flavour can

@@ -7,16 +7,18 @@
 //!
 //! Design:
 //!
-//! * **Connection pool + request-ID multiplexing.** Many client
-//!   threads share a small pool of sockets. Each call takes a fresh
-//!   `req_id`, registers a reply slot, and writes one frame under the
-//!   connection's writer lock; a per-connection reader thread routes
-//!   response frames back to reply slots by `req_id`, so responses may
-//!   return out of order and slow calls never block fast ones.
+//! * **Connection pool, one call per connection.** A call takes an idle
+//!   connection from the endpoint's pool (or dials one), writes its
+//!   request frame, and reads exactly one reply frame back on its own
+//!   thread — no reader thread, no hand-off. The reply must echo the
+//!   call's `req_id`. Only a complete exchange returns the connection
+//!   to the pool, so the pool holds at most the peak number of
+//!   concurrent calls, and a late reply can never reach a later call.
 //! * **Deadlines.** Every attempt waits at most
-//!   [`RetryPolicy::deadline`] for its response; a fired deadline
-//!   abandons the reply slot (a late response is discarded by the
-//!   reader) and counts as a failed attempt.
+//!   [`RetryPolicy::deadline`] for its *whole* reply: each `read(2)` is
+//!   bounded by the time left, so a server that trickles bytes cannot
+//!   stretch it. A fired deadline drops the connection and counts as a
+//!   failed attempt.
 //! * **Retry with exponential backoff + jitter.** Failed attempts are
 //!   retried up to [`RetryPolicy::attempts`] times, sleeping
 //!   `backoff * 2^attempt ± jitter` in between. Exhaustion surfaces
@@ -43,7 +45,7 @@
 //! offending connection; the client sees the drop and retries.
 
 use crate::endpoint::{CallCtx, Endpoint, MaintainReport, RpcError, Service};
-use crate::frame::{write_frame, FrameKind};
+use crate::frame::{read_frame, write_frame, Frame, FrameKind};
 use crate::metrics::EndpointMetrics;
 use crate::rpc::{
     restamp_budget_ms, Control, ControlReply, RpcRequest, RpcResponse, REJECT_EXPIRED,
@@ -52,12 +54,11 @@ use crate::rpc::{
 use loco_obs::MetricsRegistry;
 use loco_sim::des::ServerId;
 use loco_types::wire::Wire;
-use std::collections::HashMap;
-use std::io;
+use std::io::ErrorKind::{Interrupted, InvalidData, TimedOut, UnexpectedEof, WouldBlock};
+use std::io::{self, BufReader, Read};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -277,37 +278,94 @@ impl GuardState {
     }
 }
 
-/// One pooled connection: a locked writer half, a reader thread that
-/// routes response frames to per-request reply slots, and a dead flag
-/// that poisons the connection on any socket or framing error.
-struct Conn {
-    writer: Mutex<TcpStream>,
-    pending: Arc<Mutex<HashMap<u64, SyncSender<(FrameKind, Vec<u8>)>>>>,
-    dead: Arc<AtomicBool>,
+/// A client socket read against a deadline: each `read(2)` waits at
+/// most for the time left, so a server that trickles bytes cannot
+/// stretch it.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+    /// The read timeout currently set on `stream`.
+    timeout: Option<Duration>,
+    /// Bytes read since `deadline` was set.
+    got: usize,
 }
 
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(TimedOut.into());
+            }
+            // Whole milliseconds, so back-to-back calls usually find the
+            // timeout already set; when it fires early the loop re-arms
+            // it with what is left.
+            let ms = Duration::from_millis(left.as_millis() as u64);
+            let timeout = Some(if ms.is_zero() { left } else { ms });
+            if self.timeout != timeout {
+                self.stream.set_read_timeout(timeout)?;
+                self.timeout = timeout;
+            }
+            match self.stream.read(buf) {
+                Ok(n) => {
+                    self.got += n;
+                    return Ok(n);
+                }
+                Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// One client connection. A call owns it for one request/reply
+/// exchange; between calls it sits in its endpoint's idle list. Only a
+/// connection whose last exchange completed is pooled, so a pooled
+/// stream always starts at a frame boundary. The buffer lets one
+/// `read(2)` take a typical reply whole.
+struct Conn(BufReader<DeadlineReader>);
+
 impl Conn {
-    fn open(addr: &str, connect_timeout: Duration) -> Result<Arc<Self>, RpcError> {
+    fn open(addr: &str, connect_timeout: Duration) -> Result<Self, RpcError> {
         let sock_addr: SocketAddr = resolve(addr)?;
         let stream = TcpStream::connect_timeout(&sock_addr, connect_timeout)
             .map_err(|e| RpcError::Connect(format!("{addr}: {e}")))?;
         let _ = stream.set_nodelay(true);
-        let reader = stream
-            .try_clone()
-            .map_err(|e| RpcError::Connect(format!("{addr}: clone: {e}")))?;
-        let pending: Arc<Mutex<HashMap<u64, SyncSender<(FrameKind, Vec<u8>)>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let dead = Arc::new(AtomicBool::new(false));
-        let conn = Arc::new(Conn {
-            writer: Mutex::new(stream),
-            pending: Arc::clone(&pending),
-            dead: Arc::clone(&dead),
-        });
-        std::thread::Builder::new()
-            .name("loco-rpc-reader".into())
-            .spawn(move || reader_loop(reader, pending, dead))
-            .map_err(|e| RpcError::Connect(format!("reader thread: {e}")))?;
-        Ok(conn)
+        let sock = DeadlineReader {
+            stream,
+            deadline: Instant::now(),
+            timeout: None,
+            got: 0,
+        };
+        Ok(Conn(BufReader::new(sock)))
+    }
+
+    /// Send `req_bytes` as request `req_id` and read its reply by
+    /// `deadline`: one frame that echoes `req_id` and is all the server
+    /// sent.
+    fn round_trip(
+        &mut self,
+        req_id: u64,
+        req_bytes: &[u8],
+        deadline: Instant,
+    ) -> io::Result<Frame> {
+        let sock = self.0.get_mut();
+        sock.deadline = deadline;
+        sock.got = 0;
+        write_frame(&mut sock.stream, FrameKind::Request, req_id, req_bytes)?;
+        let frame = read_frame(&mut self.0)?.ok_or(UnexpectedEof)?;
+        let reply = matches!(frame.kind, FrameKind::Response | FrameKind::Error);
+        if frame.req_id == req_id && reply && self.0.buffer().is_empty() {
+            return Ok(frame);
+        }
+        let (kind, id) = (frame.kind, frame.req_id);
+        let msg = format!("{kind:?} frame {id} is not the reply to request {req_id}");
+        Err(io::Error::new(InvalidData, msg))
+    }
+
+    /// Whether the last round trip got no byte back.
+    fn heard_nothing(&self) -> bool {
+        self.0.get_ref().got == 0
     }
 }
 
@@ -319,35 +377,6 @@ fn resolve(addr: &str) -> Result<SocketAddr, RpcError> {
         .ok_or_else(|| RpcError::Connect(format!("{addr}: no address")))
 }
 
-/// Routes incoming response frames to waiting callers until the socket
-/// errors or closes; then poisons the connection and drops every
-/// pending reply slot so waiting callers fail fast instead of timing
-/// out.
-fn reader_loop(
-    mut stream: TcpStream,
-    pending: Arc<Mutex<HashMap<u64, SyncSender<(FrameKind, Vec<u8>)>>>>,
-    dead: Arc<AtomicBool>,
-) {
-    loop {
-        match crate::frame::read_frame(&mut stream) {
-            Ok(Some(frame))
-                if matches!(frame.kind, FrameKind::Response | FrameKind::Error) =>
-            {
-                let slot = lock(&pending).remove(&frame.req_id);
-                if let Some(tx) = slot {
-                    // A deadline may have fired concurrently; a closed
-                    // slot just discards the late response.
-                    let _ = tx.send((frame.kind, frame.payload));
-                }
-            }
-            Ok(Some(_)) => {} // stray control frame: ignore
-            Ok(None) | Err(_) => break,
-        }
-    }
-    dead.store(true, Ordering::SeqCst);
-    lock(&pending).clear();
-}
-
 /// Client endpoint speaking the framed wire protocol to a remote
 /// `locod`. Generic over the hosted [`Service`] type so it can resolve
 /// request labels (`S::req_label`) without the service instance.
@@ -356,7 +385,9 @@ pub struct TcpEndpoint<S: Service> {
     addr: Arc<str>,
     id: ServerId,
     policy: RetryPolicy,
-    pool: Arc<Vec<Mutex<Option<Arc<Conn>>>>>,
+    /// Idle connections, each between two complete exchanges. It never
+    /// holds more than the peak number of concurrent calls.
+    idle: Arc<Mutex<Vec<Conn>>>,
     next_req: Arc<AtomicU64>,
     metrics: Option<Arc<EndpointMetrics>>,
     guard: Arc<GuardState>,
@@ -369,7 +400,7 @@ impl<S: Service> Clone for TcpEndpoint<S> {
             addr: Arc::clone(&self.addr),
             id: self.id,
             policy: self.policy,
-            pool: Arc::clone(&self.pool),
+            idle: Arc::clone(&self.idle),
             next_req: Arc::clone(&self.next_req),
             metrics: self.metrics.clone(),
             guard: Arc::clone(&self.guard),
@@ -379,9 +410,6 @@ impl<S: Service> Clone for TcpEndpoint<S> {
 }
 
 impl<S: Service> TcpEndpoint<S> {
-    /// Default pool width; override with `LOCO_RPC_CONNS`.
-    const DEFAULT_POOL: usize = 2;
-
     /// Create an endpoint for the server at `addr` (e.g.
     /// `"127.0.0.1:7101"`). Connections are opened lazily on first
     /// use and reopened after failures.
@@ -392,14 +420,11 @@ impl<S: Service> TcpEndpoint<S> {
     /// Like [`TcpEndpoint::connect`] with explicit deadline/retry
     /// settings.
     pub fn with_policy(id: ServerId, addr: &str, policy: RetryPolicy) -> Self {
-        let width = env_u64("LOCO_RPC_CONNS")
-            .map(|n| (n as usize).clamp(1, 64))
-            .unwrap_or(Self::DEFAULT_POOL);
         Self {
             addr: Arc::from(addr),
             id,
             policy,
-            pool: Arc::new((0..width).map(|_| Mutex::new(None)).collect()),
+            idle: Arc::new(Mutex::new(Vec::new())),
             next_req: Arc::new(AtomicU64::new(1)),
             metrics: None,
             guard: Arc::new(GuardState::new(policy.retry_budget)),
@@ -492,46 +517,6 @@ impl<S: Service> TcpEndpoint<S> {
         }
     }
 
-    /// Grab (or lazily open) the pooled connection for `req_id`. The
-    /// second value reports whether the connection was freshly dialed
-    /// (`true`) or reused from the pool.
-    fn conn_for(&self, req_id: u64) -> Result<(Arc<Conn>, bool), RpcError> {
-        let slot = &self.pool[(req_id % self.pool.len() as u64) as usize];
-        let mut guard = lock(slot);
-        if let Some(conn) = guard.as_ref() {
-            if !conn.dead.load(Ordering::SeqCst) {
-                return Ok((Arc::clone(conn), false));
-            }
-        }
-        let fresh = Conn::open(&self.addr, self.policy.connect_timeout)?;
-        *guard = Some(Arc::clone(&fresh));
-        Ok((fresh, true))
-    }
-
-    /// One send/receive attempt: no retries, one deadline.
-    ///
-    /// An idle pooled connection the server has since closed (daemon
-    /// restart, idle timeout) surfaces as `ConnectionLost` even though
-    /// nothing is wrong with the server — so a lost connection that was
-    /// *reused* from the pool earns one free redial of the same slot
-    /// before the failure counts against the retry budget. The redial
-    /// is guaranteed to dial fresh: every `ConnectionLost` path marks
-    /// the connection dead before returning.
-    fn attempt(&self, req_bytes: &[u8], wait: Duration) -> Result<RpcResponse<S::Resp>, RpcError>
-    where
-        S::Resp: Wire,
-    {
-        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let (conn, fresh) = self.conn_for(req_id)?;
-        match self.attempt_on(&conn, req_id, req_bytes, wait) {
-            Err(RpcError::ConnectionLost(_)) if !fresh => {
-                let (conn, _fresh) = self.conn_for(req_id)?;
-                self.attempt_on(&conn, req_id, req_bytes, wait)
-            }
-            other => other,
-        }
-    }
-
     /// Success bookkeeping shared by every `try_call` return path.
     fn record_ok(
         &self,
@@ -554,32 +539,44 @@ impl<S: Service> TcpEndpoint<S> {
         resp.body
     }
 
-    /// Send `req_bytes` as `req_id` on `conn` and await the response
-    /// for at most `wait` (the per-attempt deadline, already clipped to
-    /// the op's remaining budget).
-    fn attempt_on(
-        &self,
-        conn: &Arc<Conn>,
-        req_id: u64,
-        req_bytes: &[u8],
-        wait: Duration,
-    ) -> Result<RpcResponse<S::Resp>, RpcError>
+    /// One send/receive attempt, no retries: send `req_bytes` on an idle
+    /// connection (or a new one) and read its reply on this thread, all
+    /// of it within `wait` (the per-attempt deadline, already clipped to
+    /// the op's remaining budget). The connection returns to the idle
+    /// list only after a complete exchange — a response, fenced or not,
+    /// or a guard reject. Any other outcome drops it, so a late reply
+    /// can never reach a later call.
+    fn attempt(&self, req_bytes: &[u8], wait: Duration) -> Result<RpcResponse<S::Resp>, RpcError>
     where
         S::Resp: Wire,
     {
-        let (tx, rx) = sync_channel(1);
-        lock(&conn.pending).insert(req_id, tx);
-        let sent = {
-            let mut w = lock(&conn.writer);
-            write_frame(&mut *w, FrameKind::Request, req_id, req_bytes)
+        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
+        let mut idle = lock(&self.idle).pop();
+        let (conn, frame) = loop {
+            let (mut conn, reused) = match idle.take() {
+                Some(conn) => (conn, true),
+                None => (Conn::open(&self.addr, self.policy.connect_timeout)?, false),
+            };
+            match conn.round_trip(req_id, req_bytes, Instant::now() + wait) {
+                Ok(frame) => break (conn, frame),
+                Err(e) if e.kind() == TimedOut => {
+                    return Err(RpcError::Timeout {
+                        deadline_ms: wait.as_millis() as u64,
+                    })
+                }
+                // An idle connection the server has since closed (daemon
+                // restart, idle timeout) fails before any reply byte
+                // comes back, though the server is fine: one free redial,
+                // always on a fresh socket — after a restart every idle
+                // connection may be stale. Once a byte came back the
+                // server has the request, and re-sending it could apply
+                // it twice.
+                Err(_) if reused && conn.heard_nothing() => {}
+                Err(e) => return Err(RpcError::ConnectionLost(e.to_string())),
+            }
         };
-        if let Err(e) = sent {
-            conn.dead.store(true, Ordering::SeqCst);
-            lock(&conn.pending).remove(&req_id);
-            return Err(RpcError::ConnectionLost(e.to_string()));
-        }
-        match rx.recv_timeout(wait) {
-            Ok((FrameKind::Error, payload)) => match payload.first() {
+        let result = match frame.kind {
+            FrameKind::Error => match frame.payload.first() {
                 // Guard rejects: the server refused the request without
                 // executing it — cheap, unambiguous failures.
                 Some(&REJECT_OVERLOADED) => Err(RpcError::Overloaded),
@@ -588,30 +585,25 @@ impl<S: Service> TcpEndpoint<S> {
                     "unknown guard reject code {other:?}"
                 ))),
             },
-            Ok((_, payload)) => {
-                let resp = RpcResponse::<S::Resp>::from_wire(&payload)
-                    .map_err(|e| RpcError::Decode(e.to_string()))?;
+            _ => match RpcResponse::<S::Resp>::from_wire(&frame.payload) {
                 // A fenced reply is a *valid* answer from a server that
                 // is no longer (or not yet) the primary: surface it as
                 // its own error class so the caller can redial through
                 // the cluster view instead of retrying here.
-                if let Some(stamp) = resp.repl {
-                    if stamp.fenced {
-                        return Err(RpcError::FencedEpoch { epoch: stamp.epoch });
-                    }
-                }
-                Ok(resp)
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                lock(&conn.pending).remove(&req_id);
-                Err(RpcError::Timeout {
-                    deadline_ms: wait.as_millis() as u64,
-                })
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(RpcError::ConnectionLost("reader closed".into()))
-            }
+                Ok(RpcResponse {
+                    repl: Some(stamp), ..
+                }) if stamp.fenced => Err(RpcError::FencedEpoch { epoch: stamp.epoch }),
+                Ok(resp) => Ok(resp),
+                Err(e) => Err(RpcError::Decode(e.to_string())),
+            },
+        };
+        if matches!(
+            result,
+            Ok(_) | Err(RpcError::Overloaded | RpcError::Expired | RpcError::FencedEpoch { .. })
+        ) {
+            lock(&self.idle).push(conn);
         }
+        result
     }
 }
 
@@ -1018,7 +1010,7 @@ pub fn control(addr: &str, msg: Control, timeout: Duration) -> Result<ControlRep
     let _ = stream.set_write_timeout(Some(timeout));
     write_frame(&mut stream, FrameKind::Control, 0, &msg.to_wire())
         .map_err(|e| RpcError::ConnectionLost(e.to_string()))?;
-    match crate::frame::read_frame(&mut stream) {
+    match read_frame(&mut stream) {
         Ok(Some(frame)) => {
             ControlReply::from_wire(&frame.payload).map_err(|e| RpcError::Decode(e.to_string()))
         }
@@ -1066,26 +1058,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_clients_multiplex_one_pool() {
-        let (_guard, ep) = serve_adder(0);
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let ep = ep.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut ctx = CallCtx::new();
-                for _ in 0..50 {
-                    ep.call(&mut ctx, 1);
-                }
-                ctx.round_trips()
-            }));
-        }
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 400);
-        let mut ctx = CallCtx::new();
-        assert_eq!(ep.call(&mut ctx, 0), 400);
-    }
-
-    #[test]
     fn traced_call_carries_span_reply_across_the_wire() {
         let (_guard, ep) = serve_adder(2 * MICROS);
         let mut ctx = CallCtx::new();
@@ -1116,6 +1088,29 @@ mod tests {
             "retry exhaustion took {:?} (policy {policy:?})",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn concurrent_clients_share_one_pool() {
+        let (_guard, ep) = serve_adder(0);
+        let mut handles = Vec::new();
+        for _ in 0..8 {
+            let ep = ep.clone();
+            handles.push(std::thread::spawn(move || {
+                let mut ctx = CallCtx::new();
+                for _ in 0..50 {
+                    ep.call(&mut ctx, 1);
+                }
+                ctx.round_trips()
+            }));
+        }
+        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(total, 400);
+        // The pool holds at most one connection per concurrent caller.
+        let idle = lock(&ep.idle).len();
+        assert!((1..=8).contains(&idle), "{idle} idle connections");
+        let mut ctx = CallCtx::new();
+        assert_eq!(ep.call(&mut ctx, 0), 400);
     }
 
     #[test]

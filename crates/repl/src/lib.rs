@@ -1007,10 +1007,10 @@ fn lease_loop(
                 .set(ctl.role().as_u8() as i64);
         }
         match ctl.role() {
-            Role::Primary if auto_promote && !ctl.peers().is_empty() => {
-                if ctl.peer_silence_ms() >= lease_ms {
-                    ctl.fence_isolated();
-                }
+            Role::Primary
+                if auto_promote && !ctl.peers().is_empty() && ctl.peer_silence_ms() >= lease_ms =>
+            {
+                ctl.fence_isolated();
             }
             Role::Standby => {
                 let silence = ctl.primary_silence_ms();
@@ -1431,7 +1431,7 @@ mod tests {
     /// A transport whose `status()` reply is scripted by the test.
     struct FixedStatus(std::sync::Mutex<Result<ReplInfo, String>>);
     impl FixedStatus {
-        fn new(r: Result<ReplInfo, String>) -> Arc<dyn ReplTransport> {
+        fn scripted(r: Result<ReplInfo, String>) -> Arc<dyn ReplTransport> {
             Arc::new(FixedStatus(std::sync::Mutex::new(r)))
         }
     }
@@ -1537,21 +1537,21 @@ mod tests {
         let dead: Arc<dyn ReplTransport> = Arc::new(DeadPeer);
         // A reachable live primary vetoes: this standby is the
         // partitioned one, not the primary.
-        let live_primary = FixedStatus::new(Ok(info(true, 1, 9, Role::Primary, 0)));
+        let live_primary = FixedStatus::scripted(Ok(info(true, 1, 9, Role::Primary, 0)));
         assert!(!promotion_confirmed(
             &ctl,
             &[live_primary, dead.clone()],
             lease_ms
         ));
         // A peer that still hears the primary vetoes too.
-        let fresh_standby = FixedStatus::new(Ok(info(true, 1, 9, Role::Standby, 2)));
+        let fresh_standby = FixedStatus::scripted(Ok(info(true, 1, 9, Role::Standby, 2)));
         assert!(!promotion_confirmed(
             &ctl,
             &[dead.clone(), fresh_standby],
             lease_ms
         ));
         // A higher epoch anywhere means an election already concluded.
-        let promoted = FixedStatus::new(Ok(info(true, 5, 9, Role::Standby, 50)));
+        let promoted = FixedStatus::scripted(Ok(info(true, 5, 9, Role::Standby, 50)));
         assert!(!promotion_confirmed(
             &ctl,
             &[promoted, dead.clone()],
@@ -1566,9 +1566,9 @@ mod tests {
         ));
         // ...but one corroborating silent standby makes a majority of
         // the replica set (2 of 3), and a fenced peer counts the same.
-        let silent = FixedStatus::new(Ok(info(true, 1, 9, Role::Standby, 40)));
+        let silent = FixedStatus::scripted(Ok(info(true, 1, 9, Role::Standby, 40)));
         assert!(promotion_confirmed(&ctl, &[dead.clone(), silent], lease_ms));
-        let fenced = FixedStatus::new(Ok(info(true, 1, 9, Role::Fenced, 40)));
+        let fenced = FixedStatus::scripted(Ok(info(true, 1, 9, Role::Fenced, 40)));
         assert!(promotion_confirmed(&ctl, &[dead.clone(), fenced], lease_ms));
         // A lone pair cannot distinguish primary death from its own
         // isolation; the primary-side isolation fence covers it, so
@@ -1580,7 +1580,11 @@ mod tests {
             Duration::from_millis(lease_ms),
             vec!["p:1".into()],
         );
-        assert!(promotion_confirmed(&ctl2, &[dead.clone()], lease_ms));
+        assert!(promotion_confirmed(
+            &ctl2,
+            std::slice::from_ref(&dead),
+            lease_ms
+        ));
     }
 
     #[test]

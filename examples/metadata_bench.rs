@@ -5,7 +5,7 @@
 //! Usage:
 //!   cargo run --release --example metadata_bench -- \
 //!       [system] [servers] [clients] [items] [phase] [--transport T]
-//!       [--clients N] [--pipeline D] [--sync-policy P]
+//!       [--clients N] [--sync-policy P]
 //!
 //!   system: loco-c | loco-nc | loco-cf | ceph | gluster | lustre-d1 |
 //!           lustre-d2 | indexfs | rawkv        (default loco-c)
@@ -15,8 +15,6 @@
 //!           tcp boots in-process localhost servers, or dials an
 //!           external `locod` cluster when LOCO_CLUSTER is set)
 //!   --clients N     closed-loop client count (same as positional 3)
-//!   --pipeline D    wire mode: D concurrent requests per client
-//!                   (default 1)
 //!   --sync-policy P wire mode WAL durability: os-managed | always
 //!                   (default os-managed)
 //!
@@ -85,7 +83,6 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut transport = Transport::Sim;
     let mut clients_flag: Option<usize> = None;
-    let mut pipeline: usize = 1;
     let mut sync_policy = SyncPolicy::OsManaged;
     let mut args = Vec::new();
     let mut it = raw.iter();
@@ -107,9 +104,6 @@ fn main() {
                 .unwrap_or_else(|| panic!("unknown transport {val:?} (sim/tcp)"));
         } else if let Some(val) = flag_val("--clients") {
             clients_flag = Some(val.parse().expect("--clients takes a number"));
-        } else if let Some(val) = flag_val("--pipeline") {
-            pipeline = val.parse().expect("--pipeline takes a number");
-            assert!(pipeline >= 1, "--pipeline must be at least 1");
         } else if let Some(val) = flag_val("--sync-policy") {
             sync_policy = SyncPolicy::parse(&val)
                 .unwrap_or_else(|| panic!("unknown sync policy {val:?} (os-managed/always)"));
@@ -213,33 +207,24 @@ fn main() {
     // server core — sockets, event loop, WAL, fsync — before and after
     // cross-connection group commit.
     if transport == Transport::Tcp && system.starts_with("loco") {
-        wire_bench(&system, servers, clients, pipeline, items, sync_policy);
+        wire_bench(&system, servers, clients, items, sync_policy);
     }
 }
 
-/// One wall-clock wire run: `clients * pipeline` threads sharing a
-/// `clients`-wide connection pool per server, `items` creates each,
-/// against in-process durable TCP servers. Returns (ops/s, WAL fsyncs).
-fn wire_run(
-    config: &LocoConfig,
-    clients: usize,
-    pipeline: usize,
-    items: usize,
-    group_commit: bool,
-) -> (f64, u64) {
-    // Both knobs are read at boot time: pool width when endpoints
-    // dial, group commit when `serve_tcp` starts. With group commit
-    // off, each durable handler fsyncs inline before its reply is
-    // written: one fsync per acked RPC.
-    std::env::set_var("LOCO_RPC_CONNS", clients.to_string());
+/// One wall-clock wire run: `clients` threads, `items` creates each,
+/// against in-process durable TCP servers. Each thread's call holds one
+/// pooled connection per server at a time. Returns (ops/s, WAL fsyncs).
+fn wire_run(config: &LocoConfig, clients: usize, items: usize, group_commit: bool) -> (f64, u64) {
+    // Read when `serve_tcp` starts. With group commit off, each durable
+    // handler fsyncs inline before its reply is written: one fsync per
+    // acked RPC.
     std::env::set_var("LOCO_GROUP_COMMIT", if group_commit { "on" } else { "off" });
     let cluster = TransportCluster::new(config.clone(), Transport::Tcp);
     let registry = cluster.registry.clone();
-    let threads = clients * pipeline;
 
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(threads + 1));
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(clients + 1));
     let mut handles = Vec::new();
-    for t in 0..threads {
+    for t in 0..clients {
         let mut c = cluster.client();
         let barrier = barrier.clone();
         handles.push(std::thread::spawn(move || {
@@ -275,33 +260,23 @@ fn wire_run(
                 .max(0) as u64;
         }
     }
-    ((threads * items) as f64 / secs, fsyncs)
+    ((clients * items) as f64 / secs, fsyncs)
 }
 
 /// The before/after group-commit comparison at equal durability, with
 /// the result recorded in `results/BENCH_fig08_tcp_pipelined.json`.
-fn wire_bench(
-    system: &str,
-    servers: u16,
-    clients: usize,
-    pipeline: usize,
-    items: usize,
-    sync_policy: SyncPolicy,
-) {
+fn wire_bench(system: &str, servers: u16, clients: usize, items: usize, sync_policy: SyncPolicy) {
     let scratch = std::env::temp_dir().join(format!("loco-wire-bench-{}", std::process::id()));
     // Short wall-clock runs are dominated by scheduler noise; floor the
     // per-thread op count so each trial lasts long enough to average it
     // out.
     let items = items.max(200);
-    let ops = (clients * pipeline * items) as f64;
+    let ops = (clients * items) as f64;
     let policy_label = match sync_policy {
         SyncPolicy::EveryRecord => "always",
         SyncPolicy::OsManaged => "os-managed",
     };
-    println!(
-        "wire     : {clients} clients x {pipeline} pipelined, {items} creates each, \
-         sync-policy {policy_label}"
-    );
+    println!("wire     : {clients} clients, {items} creates each, sync-policy {policy_label}");
     println!("wire     : off = event loop, fsync per acked RPC; on = event loop + group commit");
 
     // Best of TRIALS per configuration, with the off/on arms
@@ -319,7 +294,7 @@ fn wire_bench(
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).expect("wire bench scratch dir");
             let config = LocoConfig::with_servers(servers).durable(&dir, sync_policy);
-            let run = wire_run(&config, clients, pipeline, items, *group_commit);
+            let run = wire_run(&config, clients, items, *group_commit);
             if best[arm].is_none_or(|b| run.0 > b.0) {
                 best[arm] = Some(run);
             }
@@ -346,17 +321,12 @@ fn wire_bench(
     );
 
     let mut report = BenchReport::new("fig08_tcp_pipelined");
-    let (c, p, s) = (
-        clients.to_string(),
-        pipeline.to_string(),
-        servers.to_string(),
-    );
+    let (c, s) = (clients.to_string(), servers.to_string());
     for (tag, ops_per_s, fsyncs) in results {
         let labels = [
             ("system", system),
             ("servers", s.as_str()),
             ("clients", c.as_str()),
-            ("pipeline", p.as_str()),
             ("sync_policy", policy_label),
             ("group_commit", tag),
         ];

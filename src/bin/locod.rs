@@ -1168,7 +1168,9 @@ fn chaos_ctl_cmd(args: &[String]) -> ExitCode {
         return fail("chaos-ctl needs an address and a command");
     };
     if cmd.is_empty() {
-        return fail("chaos-ctl needs a command (latency/bandwidth/partition/dribble/kill/reset/stat)");
+        return fail(
+            "chaos-ctl needs a command (latency/bandwidth/partition/dribble/kill/reset/stat)",
+        );
     }
     match locofs::faults::ctl_send(addr, &cmd.join(" ")) {
         Ok(reply) => {

@@ -123,7 +123,9 @@ fn slow_loris_dribble_does_not_starve_healthy_clients() {
     let mut ctx = CallCtx::new();
     let t0 = Instant::now();
     for i in 0..100 {
-        let r = ep.try_call(&mut ctx, mkdir_local(format!("/h{i}"))).unwrap();
+        let r = ep
+            .try_call(&mut ctx, mkdir_local(format!("/h{i}")))
+            .unwrap();
         assert!(matches!(r, DmsResponse::Done(Ok(_))), "healthy op failed");
     }
     let healthy = t0.elapsed();
@@ -247,7 +249,12 @@ fn expired_in_queue_requests_never_reach_the_wal() {
     let mut ctx = CallCtx::new();
     for i in 0..4 {
         let r = ep
-            .try_call(&mut ctx, DmsRequest::GetDir { path: format!("/late{i}") })
+            .try_call(
+                &mut ctx,
+                DmsRequest::GetDir {
+                    path: format!("/late{i}"),
+                },
+            )
             .unwrap();
         assert!(
             matches!(r, DmsResponse::Dir(Err(_))),
@@ -353,7 +360,12 @@ fn admission_control_sheds_mutations_while_reads_drain() {
             let mut reads = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let r = ep
-                    .try_call(&mut ctx, DmsRequest::GetDir { path: "/seed".into() })
+                    .try_call(
+                        &mut ctx,
+                        DmsRequest::GetDir {
+                            path: "/seed".into(),
+                        },
+                    )
                     .expect("reads must drain during overload");
                 assert!(matches!(r, DmsResponse::Dir(Ok(_))));
                 reads += 1;
@@ -450,7 +462,10 @@ fn retry_budget_caps_attempts_during_a_brownout() {
             .expect_err("partitioned call cannot succeed");
         // Timeouts on a non-idempotent mutation surface the ambiguity.
         assert!(
-            matches!(err, RpcError::MaybeApplied { .. } | RpcError::Exhausted { .. }),
+            matches!(
+                err,
+                RpcError::MaybeApplied { .. } | RpcError::Exhausted { .. }
+            ),
             "want MaybeApplied/Exhausted, got {err}"
         );
     }

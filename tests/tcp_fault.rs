@@ -1,16 +1,23 @@
 //! Fault behavior of the TCP transport: killing a server mid-workload
 //! must surface `EIO` (FsError::Io) through retry exhaustion — no
 //! hangs, deadlines fire, and the cluster stays usable for every
-//! role that is still up.
+//! role that is still up. The client's call path is held to its
+//! contract against misbehaving peers too: a deadline bounds the whole
+//! reply, a late or mismatched reply never reaches a call, and
+//! connections are reused only after a complete exchange.
 
 use locofs::client::{DmsEndpoint, FmsEndpoint, LocoClient, LocoConfig, ObsWiring, OstEndpoint};
 use locofs::dms::DirServer;
 use locofs::fms::FileServer;
 use locofs::kv::KvConfig;
+use locofs::net::frame::{encode_frame, read_frame, FrameKind, HEADER_LEN};
 use locofs::net::tcp::{serve_tcp, RetryPolicy, ServeOptions, TcpEndpoint, TcpServerGuard};
-use locofs::net::{class, Endpoint, ServerId};
+use locofs::net::{
+    class, CallCtx, Endpoint, EndpointMetrics, Nanos, RpcError, RpcResponse, ServerId, Service,
+};
 use locofs::obs::{FlightRecorder, MetricsRegistry, SampleMode, Tracer, Watchdog, WatchdogConfig};
 use locofs::ostore::ObjectStore;
+use locofs::types::wire::Wire;
 use locofs::types::FsError;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -208,10 +215,9 @@ fn fms_restart_recovers_acked_namespace_from_durable_store() {
 fn idle_pooled_conn_closed_by_server_redials_lazily_without_spurious_eio() {
     // A daemon restart closes every pooled client connection. The next
     // call on such a connection must not burn the retry budget (or
-    // surface a spurious EIO with attempts=1): the pool detects the
-    // dead connection — eagerly via the reader's dead flag, or lazily
-    // via one free same-slot redial when the failure only shows up
-    // after the write — and the call succeeds on a fresh socket.
+    // surface a spurious EIO with attempts=1): the lost connection earns
+    // one free redial, which always dials fresh, and the call succeeds
+    // on the new socket.
     use locofs::ostore::{OstoreRequest, OstoreResponse};
     use locofs::types::Uuid;
 
@@ -247,7 +253,7 @@ fn idle_pooled_conn_closed_by_server_redials_lazily_without_spurious_eio() {
             },
         )
     };
-    // Warm every pool slot.
+    // Warm the pool.
     for blk in 0..4 {
         assert!(matches!(
             write(&mut ctx, blk),
@@ -398,4 +404,221 @@ fn deadline_fires_on_a_black_hole_server() {
         elapsed >= Duration::from_millis(150),
         "two deadlines expected"
     );
+}
+
+/// Echoes each request; sleeps [`SLOW_MS`] first on [`SLOW`].
+struct Echo;
+
+const SLOW: u64 = u64::MAX;
+const SLOW_MS: u64 = 200;
+
+impl Service for Echo {
+    type Req = u64;
+    type Resp = u64;
+
+    fn handle(&mut self, req: u64) -> u64 {
+        if req == SLOW {
+            std::thread::sleep(Duration::from_millis(SLOW_MS));
+        }
+        req
+    }
+
+    fn take_cost(&mut self) -> Nanos {
+        0
+    }
+}
+
+/// One attempt per call, with `deadline`.
+fn one_shot(deadline: Duration) -> RetryPolicy {
+    RetryPolicy {
+        attempts: 1,
+        deadline,
+        ..fast_policy()
+    }
+}
+
+/// The labels of the [`Echo`] server's metrics.
+const ECHO: &[(&str, &str)] = &[("role", "fms"), ("server", "0")];
+
+/// An [`Echo`] server and an endpoint with `policy`, plus the registry
+/// the server reports into.
+fn serve_echo(policy: RetryPolicy) -> (TcpServerGuard, TcpEndpoint<Echo>, Arc<MetricsRegistry>) {
+    let id = ServerId::new(class::FMS, 0);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let registry = MetricsRegistry::shared();
+    let opts = ServeOptions {
+        metrics: Some(EndpointMetrics::register(&registry, id)),
+        registry: Some(Arc::clone(&registry)),
+        ..Default::default()
+    };
+    let guard = serve_tcp(id, Echo, listener, opts).unwrap();
+    let ep = TcpEndpoint::<Echo>::with_policy(id, &guard.addr().to_string(), policy);
+    (guard, ep, registry)
+}
+
+fn is_timeout(err: &RpcError) -> bool {
+    match err {
+        RpcError::MaybeApplied { last, .. } | RpcError::Exhausted { last, .. } => is_timeout(last),
+        other => matches!(other, RpcError::Timeout { .. }),
+    }
+}
+
+#[test]
+fn a_late_reply_never_reaches_the_next_call() {
+    let (_guard, ep, _) = serve_echo(one_shot(Duration::from_secs(2)));
+    let mut ctx = CallCtx::new();
+    assert_eq!(ep.call(&mut ctx, 1), 1);
+    ctx.set_deadline(Duration::from_millis(SLOW_MS / 2));
+    let err = ep.try_call(&mut ctx, SLOW).unwrap_err();
+    assert!(is_timeout(&err), "got {err:?}");
+    ctx.clear_deadline();
+    // The server is still handling SLOW: its late reply is written
+    // after the next request arrives.
+    for i in 2..10 {
+        assert_eq!(ep.call(&mut ctx, i), i);
+    }
+}
+
+#[test]
+fn a_trickled_reply_cannot_extend_the_deadline() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let body = RpcResponse::<u64> {
+        cost: 0,
+        span: None,
+        repl: None,
+        body: 5,
+    }
+    .to_wire();
+    let frame_len = HEADER_LEN + body.len();
+    let trickle = Duration::from_millis(30);
+    let server = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let req = read_frame(&mut s).unwrap().unwrap();
+        // A valid reply, one byte at a time.
+        for b in encode_frame(FrameKind::Response, req.req_id, &body) {
+            if std::io::Write::write_all(&mut s, &[b]).is_err() {
+                return;
+            }
+            std::thread::sleep(trickle);
+        }
+    });
+    let policy = one_shot(Duration::from_millis(100));
+    let ep = TcpEndpoint::<Echo>::with_policy(ServerId::new(class::FMS, 0), &addr, policy);
+    let start = Instant::now();
+    let err = ep.try_call(&mut CallCtx::new(), 5).unwrap_err();
+    let elapsed = start.elapsed();
+    assert!(is_timeout(&err), "got {err:?}");
+    assert!(
+        elapsed < trickle * frame_len as u32 / 2,
+        "a {frame_len}-byte trickle stretched a 100 ms deadline to {elapsed:?}"
+    );
+    server.join().unwrap();
+}
+
+#[test]
+fn a_reply_to_another_request_fails_the_call_at_once_without_a_resend() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let body = RpcResponse::<u64> {
+            cost: 0,
+            span: None,
+            repl: None,
+            body: 5,
+        }
+        .to_wire();
+        // The first request gets its reply, so the connection is pooled;
+        // the second, on the reused connection, gets a reply to another
+        // request.
+        for skew in [0, 1] {
+            let req = read_frame(&mut s).unwrap().unwrap();
+            let reply = encode_frame(FrameKind::Response, req.req_id + skew, &body);
+            std::io::Write::write_all(&mut s, &reply).unwrap();
+        }
+        // The client drops the connection and must not re-send the
+        // request, which the server has already received, on a new one.
+        assert!(read_frame(&mut s).unwrap().is_none());
+        listener.set_nonblocking(true).unwrap();
+        listener.accept().is_err()
+    });
+    let ep = TcpEndpoint::<Echo>::with_policy(
+        ServerId::new(class::FMS, 0),
+        &addr,
+        one_shot(Duration::from_secs(2)),
+    );
+    let mut ctx = CallCtx::new();
+    assert_eq!(ep.call(&mut ctx, 5), 5);
+    let start = Instant::now();
+    let err = ep.try_call(&mut ctx, 5).unwrap_err();
+    assert!(
+        matches!(&err, RpcError::MaybeApplied { last, .. } if matches!(**last, RpcError::ConnectionLost(_))),
+        "got {err:?}"
+    );
+    assert!(start.elapsed() < Duration::from_secs(1), "{err}");
+    assert!(server.join().unwrap(), "the request was re-sent");
+}
+
+#[test]
+fn replies_longer_than_one_read_arrive_whole_on_a_reused_connection() {
+    use locofs::ostore::{OstoreRequest, OstoreResponse};
+    use locofs::types::Uuid;
+
+    let id = ServerId::new(class::OST, 0);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let opts = ServeOptions::default();
+    let guard = serve_tcp(id, ObjectStore::new(KvConfig::default()), listener, opts).unwrap();
+    let ep = TcpEndpoint::<ObjectStore>::with_policy(id, &guard.addr().to_string(), fast_policy());
+    let mut ctx = CallCtx::new();
+    let uuid = Uuid::new(0, 1);
+    // Large, small, large replies through one pooled connection.
+    for (blk, len) in [(0u64, 300_000usize), (1, 10), (2, 100_000)] {
+        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8 ^ blk as u8).collect();
+        let write = OstoreRequest::WriteBlock {
+            uuid,
+            blk,
+            data: data.clone(),
+        };
+        assert_eq!(
+            ep.try_call(&mut ctx, write),
+            Ok(OstoreResponse::Done(Ok(())))
+        );
+        let read = ep.try_call(&mut ctx, OstoreRequest::ReadBlock { uuid, blk });
+        assert_eq!(read, Ok(OstoreResponse::Block(Ok(data))), "block {blk}");
+    }
+}
+
+#[test]
+fn sequential_calls_reuse_one_connection() {
+    let (_guard, ep, registry) = serve_echo(fast_policy());
+    let mut ctx = CallCtx::new();
+    for i in 0..200 {
+        assert_eq!(ep.call(&mut ctx, i), i);
+    }
+    assert_eq!(registry.gauge("loco_srv_open_conns", ECHO).get(), 1);
+}
+
+#[test]
+fn concurrent_callers_get_their_own_answers_on_at_most_one_connection_each() {
+    let (_guard, ep, registry) = serve_echo(fast_policy());
+    let handles: Vec<_> = (0..8u64)
+        .map(|t| {
+            let ep = ep.clone();
+            std::thread::spawn(move || {
+                let mut ctx = CallCtx::new();
+                for i in 0..50 {
+                    let req = t * 1000 + i;
+                    assert_eq!(ep.call(&mut ctx, req), req);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    // Every call was served exactly once.
+    assert_eq!(registry.counter("loco_rpc_requests_total", ECHO).get(), 400);
+    let open = registry.gauge("loco_srv_open_conns", ECHO).get();
+    assert!((1..=8).contains(&open), "{open} connections for 8 callers");
 }
