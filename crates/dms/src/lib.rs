@@ -29,7 +29,8 @@ use loco_net::{Nanos, Service};
 use loco_repl::{ReplCtl, ReplInfo, Role};
 use loco_sim::time::CostAcc;
 use loco_types::{
-    acl, basename, parent, DirInode, DirentKind, DirentList, FsError, FsResult, Perm, Uuid, UuidGen,
+    acl, basename, parent, DirInode, DirentKind, DirentList, FsError, FsResult, OpClass, Perm,
+    Uuid, UuidGen,
 };
 use std::sync::Arc;
 
@@ -219,24 +220,25 @@ pub enum DmsResponse {
     Repl(ReplInfo),
 }
 
-// Wire codec for the RPC transport. Tags are protocol: append-only.
+// The DMS op table and wire codec: tag, variant (the request's label)
+// and class per request. Tags are protocol: append-only.
 loco_types::impl_wire_enum!(DmsRequest, "dms-request", {
-    0 => Mkdir { path, mode, uid, gid, ts },
-    1 => Rmdir { path, uid, gid },
-    2 => GetDir { path },
-    3 => StatDir { path, uid, gid },
-    4 => ReaddirSubdirs { dir_uuid },
-    5 => SetDirAttr { path, uid, gid, new_mode, new_owner, ts },
-    6 => RenameDir { old_path, new_path, uid, gid, ts },
-    7 => CheckAccess { path, uid, gid, perm },
-    8 => MkdirLocal { path, mode, uid, gid, ts },
-    9 => RmdirLocal { path },
-    10 => AddDirent { dir_uuid, name, child_uuid },
-    11 => RemoveDirent { dir_uuid, name },
-    12 => ReplAppend { epoch, first_seq, group },
-    13 => ReplSnapshot { epoch, last_seq, image },
-    14 => ReplStatus {},
-    15 => Promote {},
+    0 => Mkdir { path, mode, uid, gid, ts }: Once,
+    1 => Rmdir { path, uid, gid }: Once,
+    2 => GetDir { path }: Read,
+    3 => StatDir { path, uid, gid }: Read,
+    4 => ReaddirSubdirs { dir_uuid }: Read,
+    5 => SetDirAttr { path, uid, gid, new_mode, new_owner, ts }: Set,
+    6 => RenameDir { old_path, new_path, uid, gid, ts }: Once,
+    7 => CheckAccess { path, uid, gid, perm }: Read,
+    8 => MkdirLocal { path, mode, uid, gid, ts }: Once,
+    9 => RmdirLocal { path }: Once,
+    10 => AddDirent { dir_uuid, name, child_uuid }: Once,
+    11 => RemoveDirent { dir_uuid, name }: Once,
+    12 => ReplAppend { epoch, first_seq, group }: Set,
+    13 => ReplSnapshot { epoch, last_seq, image }: Set,
+    14 => ReplStatus {}: Read,
+    15 => Promote {}: Once,
 });
 
 loco_types::impl_wire_enum!(DmsResponse, "dms-response", tuple {
@@ -266,6 +268,10 @@ pub struct DirServer {
     /// The request just handled was rejected for not being primary;
     /// drained into the reply's [`loco_net::ReplStamp`].
     fenced_reply: bool,
+    /// A client request appended WAL records since the last stage: the
+    /// next batch holds replies that may leave only on a standby
+    /// quorum.
+    client_writes: bool,
 }
 
 const DIRENT_NS: u8 = b'E';
@@ -334,6 +340,7 @@ impl DirServer {
             wm_limit,
             repl: None,
             fenced_reply: false,
+            client_writes: false,
         }
     }
 
@@ -723,12 +730,14 @@ impl Service for DirServer {
             }
         }
         let op = Self::req_label(&req);
+        let seq = self.db.repl_next_seq();
         // One request = one WAL commit group: a crash mid-handler (e.g.
         // between a rename's extracts and reinserts) replays either the
         // whole mutation or none of it.
         self.db.txn_begin();
         let resp = self.dispatch(req);
         self.db.txn_commit();
+        self.client_writes |= self.repl.is_some() && self.db.repl_next_seq() != seq;
         if let Some(e) = resp_error(&resp) {
             loco_log::debug!("dms", "request failed";
                 op = op, error = format_args!("{e}"));
@@ -779,18 +788,30 @@ impl Service for DirServer {
     }
 
     fn commit_flush_begin(&mut self) -> Option<(u64, loco_net::CommitFsync)> {
-        let (n, fsync) = self.db.persist_commit_flush_begin()?;
-        // Replicated primary: after the local fsync, hold the ack until
-        // the configured quorum of standbys has the batch (or the node
-        // fences / times out, which raises the batch-abort flag the
-        // committer reads via `commit_abort`). Runs outside the service
-        // lock, so shipping proceeds while we wait.
+        let staged = self.db.persist_commit_flush_begin();
         let Some(ctl) = self.repl.clone() else {
-            return Some((n, fsync));
+            return staged;
         };
+        let client_writes = std::mem::take(&mut self.client_writes);
         if ctl.role() != Role::Primary {
-            return Some((n, fsync));
+            // Demoted since the batch's client writes were accepted:
+            // no quorum covers them, so none of its replies may leave.
+            // A standby's own batches (replication acks) still do.
+            if !client_writes {
+                return staged;
+            }
+            ctl.abort_batch();
+            return Some(staged.unwrap_or_else(|| (0, Box::new(|| {}))));
         }
+        // Replicated primary: after the local fsync, hold the acks until
+        // the configured quorum of standbys has every record appended
+        // so far (or the node fences / times out, which raises the
+        // batch-abort flag the committer reads via `commit_abort`).
+        // Staged even when a maintenance sync or checkpoint already
+        // made the records durable: the quorum wait is still owed.
+        // Runs outside the service lock, so shipping proceeds while we
+        // wait.
+        let (n, fsync) = staged.unwrap_or_else(|| (0, Box::new(|| {})));
         let last_seq = self.db.repl_next_seq().saturating_sub(1);
         let timeout = ctl.lease() * 2;
         Some((
@@ -815,57 +836,26 @@ impl Service for DirServer {
     }
 
     fn req_label(req: &DmsRequest) -> &'static str {
-        match req {
-            DmsRequest::Mkdir { .. } => "Mkdir",
-            DmsRequest::Rmdir { .. } => "Rmdir",
-            DmsRequest::GetDir { .. } => "GetDir",
-            DmsRequest::StatDir { .. } => "StatDir",
-            DmsRequest::ReaddirSubdirs { .. } => "ReaddirSubdirs",
-            DmsRequest::SetDirAttr { .. } => "SetDirAttr",
-            DmsRequest::RenameDir { .. } => "RenameDir",
-            DmsRequest::CheckAccess { .. } => "CheckAccess",
-            DmsRequest::MkdirLocal { .. } => "MkdirLocal",
-            DmsRequest::RmdirLocal { .. } => "RmdirLocal",
-            DmsRequest::AddDirent { .. } => "AddDirent",
-            DmsRequest::RemoveDirent { .. } => "RemoveDirent",
-            DmsRequest::ReplAppend { .. } => "ReplAppend",
-            DmsRequest::ReplSnapshot { .. } => "ReplSnapshot",
-            DmsRequest::ReplStatus {} => "ReplStatus",
-            DmsRequest::Promote {} => "Promote",
-        }
+        req.label()
     }
 
-    /// Read-only wire tags (GetDir=2, StatDir=3, ReaddirSubdirs=4,
-    /// CheckAccess=7, ReplStatus=14) are never shed by admission
-    /// control; everything else mutates.
     fn tag_mutates(tag: u8) -> bool {
-        !matches!(tag, 2 | 3 | 4 | 7 | 14)
+        DmsRequest::class_of_tag(tag).is_none_or(OpClass::mutates)
     }
 
-    /// Reads are trivially idempotent; a chmod-only `SetDirAttr` sets
-    /// absolute values and the replication stream
-    /// (`ReplAppend`/`ReplSnapshot`) is sequence-guarded, so re-sending
-    /// after an ambiguous loss is safe. `Mkdir`/`Rmdir`/`RenameDir`/
-    /// dirent edits/`Promote` are not: a blind re-send can double-apply
-    /// (e.g. `AlreadyExists` on a mkdir that did land) — those surface
-    /// `MaybeApplied`. Nor is a `SetDirAttr` that changes the owner:
-    /// once it landed, the caller may no longer own the directory, and
-    /// the re-send fails the owner check.
+    /// The op table's class, with one exception: a `SetDirAttr` that
+    /// changes the owner is not idempotent. Once it landed, the caller
+    /// may no longer own the directory, and the re-send fails the
+    /// owner check.
     fn req_idempotent(req: &DmsRequest) -> bool {
-        matches!(
-            req,
-            DmsRequest::GetDir { .. }
-                | DmsRequest::StatDir { .. }
-                | DmsRequest::ReaddirSubdirs { .. }
-                | DmsRequest::CheckAccess { .. }
-                | DmsRequest::SetDirAttr {
-                    new_owner: None,
+        req.class().idempotent()
+            && !matches!(
+                req,
+                DmsRequest::SetDirAttr {
+                    new_owner: Some(_),
                     ..
                 }
-                | DmsRequest::ReplAppend { .. }
-                | DmsRequest::ReplSnapshot { .. }
-                | DmsRequest::ReplStatus {}
-        )
+            )
     }
 }
 
@@ -1593,6 +1583,75 @@ mod tests {
             "refused snapshot must leave the live store untouched"
         );
         let _ = std::fs::remove_dir_all(&tmp);
+    }
+
+    /// A replicated primary over an fsync-always store with group
+    /// commit on, whose one standby never acks; it has handled one
+    /// `Mkdir` whose reply is parked. Returns the server, its control
+    /// block and the data directory.
+    fn primary_with_parked_mkdir(name: &str) -> (DirServer, Arc<ReplCtl>, std::path::PathBuf) {
+        use loco_kv::{DurableStore, SyncPolicy};
+        use loco_repl::AckPolicy;
+        use std::time::Duration;
+        let dir = std::env::temp_dir().join(format!("dms-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DurableStore::open(&dir, BTreeDb::new(KvConfig::default()))
+            .unwrap()
+            .with_sync_policy(SyncPolicy::EveryRecord);
+        let mut dms = DirServer::with_store(Box::new(store), 0);
+        let ctl = Arc::new(ReplCtl::new(
+            1,
+            Role::Primary,
+            AckPolicy::One,
+            Duration::from_millis(20),
+            vec!["silent-standby".into()],
+        ));
+        assert!(dms.enable_repl(Arc::clone(&ctl)));
+        assert!(dms.defer_sync(true));
+        let resp = dms.handle(DmsRequest::Mkdir {
+            path: "/a".into(),
+            mode: 0o755,
+            uid: 1,
+            gid: 1,
+            ts: 0,
+        });
+        assert!(matches!(resp, DmsResponse::Done(Ok(1))), "{resp:?}");
+        assert!(dms.take_commit_ticket().is_some(), "the reply is parked");
+        (dms, ctl, dir)
+    }
+
+    /// Stage the parked batch, run its fsync, and report whether the
+    /// committer must drop its replies.
+    fn stage_and_run(dms: &mut DirServer) -> bool {
+        let (_, fsync) = dms
+            .commit_flush_begin()
+            .expect("a replicated server stages every batch");
+        fsync();
+        dms.commit_abort()
+    }
+
+    #[test]
+    fn a_maintenance_sync_does_not_skip_the_quorum_wait() {
+        let (mut dms, _ctl, dir) = primary_with_parked_mkdir("maintain-quorum");
+        // The periodic maintenance sync makes the Mkdir durable before
+        // the committer stages it; no standby has it yet.
+        assert!(dms.maintain(false).is_some());
+        assert!(
+            stage_and_run(&mut dms),
+            "an ack no standby has must be dropped"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_primary_demoted_before_the_stage_drops_the_batch() {
+        let (mut dms, ctl, dir) = primary_with_parked_mkdir("demoted-stage");
+        ctl.transition(Role::Standby, 2);
+        assert!(
+            stage_and_run(&mut dms),
+            "a write accepted as primary must not ack after a demotion"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

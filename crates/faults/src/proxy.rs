@@ -79,8 +79,8 @@ struct Faults {
 
 /// Handle to a running chaos proxy. Faults are tuned either through
 /// the programmatic setters or the text control socket; dropping the
-/// handle leaves the proxy running (daemon use) — call [`shutdown`]
-/// (`ChaosProxy::shutdown`) for an orderly stop.
+/// handle leaves the proxy running (daemon use) — call
+/// [`shutdown`](Self::shutdown) for an orderly stop.
 pub struct ChaosProxy {
     faults: Arc<Faults>,
     listen_addr: String,

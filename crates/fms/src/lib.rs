@@ -33,7 +33,7 @@ use loco_sim::time::CostAcc;
 use loco_types::meta::{decode_coupled, encode_coupled};
 use loco_types::{
     acl, encode_entry, encode_tombstone, DirentKind, DirentList, FileAccess, FileContent, FsError,
-    FsResult, Perm, Uuid, UuidGen,
+    FsResult, OpClass, Perm, Uuid, UuidGen,
 };
 
 /// Whether file metadata is stored decoupled (paper design, LocoFS-DF)
@@ -234,23 +234,24 @@ pub enum FmsResponse {
     Taken(FsResult<(FileAccess, FileContent)>),
 }
 
-// Wire codec for the RPC transport. Tags are protocol: append-only.
+// The FMS op table and wire codec: tag, variant (the request's label)
+// and class per request. Tags are protocol: append-only.
 loco_types::impl_wire_enum!(FmsRequest, "fms-request", {
-    0 => Create { dir_uuid, name, mode, uid, gid, ts },
-    1 => Open { dir_uuid, name, uid, gid, perm, with_content },
-    2 => Stat { dir_uuid, name },
-    3 => GetContent { dir_uuid, name },
-    4 => Access { dir_uuid, name, uid, gid, perm },
-    5 => Chmod { dir_uuid, name, uid, mode, ts },
-    6 => Chown { dir_uuid, name, uid, new_uid, new_gid, ts },
-    7 => Utimens { dir_uuid, name, atime, mtime },
-    8 => SetSize { dir_uuid, name, size, ts },
-    9 => Remove { dir_uuid, name },
-    10 => ListFiles { dir_uuid },
-    11 => ListFilesPlus { dir_uuid },
-    12 => CountFiles { dir_uuid },
-    13 => TakeFile { dir_uuid, name },
-    14 => PutFile { dir_uuid, name, access, content },
+    0 => Create { dir_uuid, name, mode, uid, gid, ts }: Once,
+    1 => Open { dir_uuid, name, uid, gid, perm, with_content }: Read,
+    2 => Stat { dir_uuid, name }: Read,
+    3 => GetContent { dir_uuid, name }: Read,
+    4 => Access { dir_uuid, name, uid, gid, perm }: Read,
+    5 => Chmod { dir_uuid, name, uid, mode, ts }: Set,
+    6 => Chown { dir_uuid, name, uid, new_uid, new_gid, ts }: Once,
+    7 => Utimens { dir_uuid, name, atime, mtime }: Set,
+    8 => SetSize { dir_uuid, name, size, ts }: Set,
+    9 => Remove { dir_uuid, name }: Once,
+    10 => ListFiles { dir_uuid }: Read,
+    11 => ListFilesPlus { dir_uuid }: Read,
+    12 => CountFiles { dir_uuid }: Read,
+    13 => TakeFile { dir_uuid, name }: Once,
+    14 => PutFile { dir_uuid, name, access, content }: Once,
 });
 
 loco_types::impl_wire_enum!(FmsResponse, "fms-response", tuple {
@@ -714,48 +715,15 @@ impl Service for FileServer {
     }
 
     fn req_label(req: &FmsRequest) -> &'static str {
-        match req {
-            FmsRequest::Create { .. } => "Create",
-            FmsRequest::Open { .. } => "Open",
-            FmsRequest::Stat { .. } => "Stat",
-            FmsRequest::GetContent { .. } => "GetContent",
-            FmsRequest::Access { .. } => "Access",
-            FmsRequest::Chmod { .. } => "Chmod",
-            FmsRequest::Chown { .. } => "Chown",
-            FmsRequest::Utimens { .. } => "Utimens",
-            FmsRequest::SetSize { .. } => "SetSize",
-            FmsRequest::Remove { .. } => "Remove",
-            FmsRequest::ListFiles { .. } => "ListFiles",
-            FmsRequest::ListFilesPlus { .. } => "ListFilesPlus",
-            FmsRequest::CountFiles { .. } => "CountFiles",
-            FmsRequest::TakeFile { .. } => "TakeFile",
-            FmsRequest::PutFile { .. } => "PutFile",
-        }
+        req.label()
     }
 
-    /// Reads (Open/Stat/GetContent/Access/ListFiles/ListFilesPlus/CountFiles)
-    /// never touch the WAL and keep draining under overload; everything else
-    /// is a mutation and is eligible for load shedding.
     fn tag_mutates(tag: u8) -> bool {
-        !matches!(tag, 1 | 2 | 3 | 4 | 10 | 11 | 12)
+        FmsRequest::class_of_tag(tag).is_none_or(OpClass::mutates)
     }
 
-    /// Safe to blind-retry: all reads, plus attribute/content setters that
-    /// overwrite with caller-supplied values (re-applying is a no-op).
-    /// Create/Remove/TakeFile/PutFile are existence-sensitive (a re-sent
-    /// PutFile that landed answers `AlreadyExists`), and Chown is
-    /// owner-sensitive (a re-sent chown that landed fails the owner
-    /// check), so they stay non-idempotent and an ambiguous outcome
-    /// surfaces as `MaybeApplied`.
     fn req_idempotent(req: &FmsRequest) -> bool {
-        !matches!(
-            req,
-            FmsRequest::Create { .. }
-                | FmsRequest::Remove { .. }
-                | FmsRequest::TakeFile { .. }
-                | FmsRequest::PutFile { .. }
-                | FmsRequest::Chown { .. }
-        )
+        req.class().idempotent()
     }
 }
 

@@ -40,9 +40,11 @@
 //! the inner image's checksum does not cover it — an unverified
 //! last-covered-seq would silently skip (or double-apply) WAL records.
 //!
-//! Both the headerless v1 WAL (single XOR checksum byte per record)
-//! and bare v1 snapshot images are still read; a legacy log is rotated
-//! to v2 by an immediate checkpoint on open.
+//! These are the only formats `open` reads. A log that does not start
+//! with the v2 header, or a snapshot without the envelope, fails `open`
+//! with `InvalidData` and is left untouched on disk. The one exception
+//! is a log shorter than its header that matches the header so far: a
+//! torn first write, recovered as an empty log.
 //!
 //! ## Failure discipline
 //!
@@ -145,9 +147,6 @@ pub struct PersistenceStats {
     /// group-commit win is this counter staying far below the op
     /// count.
     pub wal_fsyncs: u64,
-    /// A legacy (v1, XOR-checksummed) log was found at `open` and
-    /// rotated to the v2 format by an immediate checkpoint.
-    pub wal_upgraded: bool,
 }
 
 /// Durable wrapper over a store.
@@ -187,9 +186,22 @@ fn snap_path(dir: &Path) -> PathBuf {
     dir.join("snapshot.db")
 }
 
-/// v1 per-record checksum (kept for backward-compatible reads only).
-fn v1_checksum(bytes: &[u8]) -> u8 {
-    bytes.iter().fold(0xA5u8, |acc, b| acc ^ b)
+/// Verify a snapshot envelope's header; returns the last WAL sequence
+/// number it covers and the inner image.
+fn open_envelope(env: &[u8]) -> Result<(u64, &[u8]), String> {
+    if !env.starts_with(SNAP_MAGIC) || env.len() < SNAP_HEADER_LEN {
+        return Err("not a v2 snapshot envelope".into());
+    }
+    let (head, image) = env.split_at(SNAP_HEADER_LEN);
+    if head[4] != SNAP_VERSION {
+        return Err(format!("unsupported snapshot version {}", head[4]));
+    }
+    let want = u32::from_le_bytes(head[SNAP_CRC_OFFSET..].try_into().expect("4-byte crc"));
+    if crc32(&head[..SNAP_CRC_OFFSET]) != want {
+        return Err("snapshot envelope header checksum mismatch".into());
+    }
+    let seq = u64::from_le_bytes(head[5..SNAP_CRC_OFFSET].try_into().expect("8-byte seq"));
+    Ok((seq, image))
 }
 
 fn invalid(e: impl Into<String>) -> std::io::Error {
@@ -277,7 +289,8 @@ fn parse_v2_record(buf: &[u8], start: usize) -> Option<(RecView, usize)> {
     ))
 }
 
-fn apply<S: KvStore>(store: &mut S, op: u8, key: &[u8], parts: &[Vec<u8>]) -> Option<()> {
+/// Apply one record [`parse_v2_record`] accepted.
+fn apply<S: KvStore>(store: &mut S, op: u8, key: &[u8], parts: &[Vec<u8>]) {
     match op {
         OP_PUT => store.put(key, &parts[0]),
         OP_DELETE => {
@@ -285,51 +298,12 @@ fn apply<S: KvStore>(store: &mut S, op: u8, key: &[u8], parts: &[Vec<u8>]) -> Op
         }
         OP_APPEND => store.append(key, &parts[0]),
         OP_WRITE_AT => {
-            let off = u64::from_le_bytes(parts[0].as_slice().try_into().ok()?) as usize;
-            store.write_at(key, off, &parts[1]);
+            if let Ok(off) = <[u8; 8]>::try_from(parts[0].as_slice()) {
+                store.write_at(key, u64::from_le_bytes(off) as usize, &parts[1]);
+            }
         }
-        _ => return None,
+        _ => {}
     }
-    Some(())
-}
-
-/// Replay one legacy v1 record from `buf`; returns its encoded length,
-/// or `None` on a torn/invalid record (recovery stops there).
-fn replay_one_v1<S: KvStore>(store: &mut S, buf: &[u8]) -> Option<usize> {
-    let take_len = |buf: &[u8], pos: usize| -> Option<(usize, usize)> {
-        if buf.len() < pos + 4 {
-            return None;
-        }
-        let n = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        Some((n, pos + 4))
-    };
-    if buf.is_empty() {
-        return None;
-    }
-    let op = buf[0];
-    let (klen, mut pos) = take_len(buf, 1)?;
-    let end = pos.checked_add(klen)?;
-    if buf.len() < end {
-        return None;
-    }
-    let key = buf[pos..end].to_vec();
-    pos = end;
-    let n_parts = op_part_count(op)?;
-    let mut parts: Vec<Vec<u8>> = Vec::with_capacity(n_parts);
-    for _ in 0..n_parts {
-        let (plen, p2) = take_len(buf, pos)?;
-        let end = p2.checked_add(plen)?;
-        if buf.len() < end {
-            return None;
-        }
-        parts.push(buf[p2..end].to_vec());
-        pos = end;
-    }
-    if buf.len() < pos + 1 || v1_checksum(&buf[..pos]) != buf[pos] {
-        return None;
-    }
-    apply(store, op, &key, &parts)?;
-    Some(pos + 1)
 }
 
 impl<S: KvStore> DurableStore<S> {
@@ -345,34 +319,14 @@ impl<S: KvStore> DurableStore<S> {
         std::fs::create_dir_all(&dir)?;
         let mut stats = PersistenceStats::default();
 
-        // 1) snapshot (v2 envelope with last-covered-seq, or bare v1
-        //    image).
+        // 1) snapshot (v2 envelope with last-covered-seq).
         let mut snap_seq = 0u64;
         match std::fs::read(snap_path(&dir)) {
-            Ok(image) => {
-                let inner_image: &[u8] = if image.starts_with(SNAP_MAGIC) {
-                    if image.len() < SNAP_HEADER_LEN {
-                        return Err(invalid("truncated snapshot envelope"));
-                    }
-                    if image[4] != SNAP_VERSION {
-                        return Err(invalid(format!(
-                            "unsupported snapshot version {}",
-                            image[4]
-                        )));
-                    }
-                    let want = u32::from_le_bytes(
-                        image[SNAP_CRC_OFFSET..SNAP_HEADER_LEN].try_into().unwrap(),
-                    );
-                    if crc32(&image[..SNAP_CRC_OFFSET]) != want {
-                        return Err(invalid("snapshot envelope header checksum mismatch"));
-                    }
-                    snap_seq = u64::from_le_bytes(image[5..SNAP_CRC_OFFSET].try_into().unwrap());
-                    &image[SNAP_HEADER_LEN..]
-                } else {
-                    &image[..]
-                };
+            Ok(env) => {
+                let (seq, image) = open_envelope(&env).map_err(invalid)?;
+                snap_seq = seq;
                 stats.snapshot_records =
-                    crate::snapshot::load(&mut inner, inner_image).map_err(invalid)? as u64;
+                    crate::snapshot::load(&mut inner, image).map_err(invalid)? as u64;
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
@@ -381,7 +335,6 @@ impl<S: KvStore> DurableStore<S> {
         // 2) replay the WAL and compute the valid prefix.
         let wal_p = wal_path(&dir);
         let mut max_seq = 0u64;
-        let mut needs_rotation = false;
         match std::fs::read(&wal_p) {
             Ok(buf) if buf.is_empty() => {}
             Ok(buf) => {
@@ -391,7 +344,11 @@ impl<S: KvStore> DurableStore<S> {
                     // A torn header write (the magic and version land in
                     // separate write calls): an empty log, not an error.
                     0
-                } else if buf.starts_with(WAL_MAGIC) {
+                } else if !buf.starts_with(WAL_MAGIC) {
+                    // Not a v2 log: refuse it before the truncation
+                    // below can touch it.
+                    return Err(invalid("not a v2 wal: bad header magic"));
+                } else {
                     if buf[4] != WAL_VERSION {
                         return Err(invalid(format!("unsupported wal version {}", buf[4])));
                     }
@@ -418,19 +375,6 @@ impl<S: KvStore> DurableStore<S> {
                     // write: discard it (and everything after the last
                     // sealed group) by truncating below.
                     valid_end
-                } else {
-                    // Legacy v1 log: headerless XOR-checksummed
-                    // records, one implicit group each.
-                    let mut pos = 0usize;
-                    while let Some(n) = replay_one_v1(&mut inner, &buf[pos..]) {
-                        pos += n;
-                        stats.wal_records += 1;
-                        stats.replayed_records += 1;
-                    }
-                    if pos > 0 {
-                        needs_rotation = true;
-                    }
-                    pos
                 };
                 if valid_end < buf.len() {
                     let f = OpenOptions::new().write(true).open(&wal_p)?;
@@ -448,7 +392,6 @@ impl<S: KvStore> DurableStore<S> {
             wal.write_all(WAL_MAGIC)?;
             wal.write_all(&[WAL_VERSION])?;
             wal.flush()?;
-            needs_rotation = false;
         }
 
         let mut s = Self {
@@ -467,17 +410,10 @@ impl<S: KvStore> DurableStore<S> {
             stats,
         };
         let _ = s.inner.take_cost(); // recovery is offline work
-        if needs_rotation {
-            // Rotate a legacy log to the v2 format so future appends
-            // are readable.
-            s.checkpoint()?;
-            s.stats.wal_upgraded = true;
-        }
         loco_log::info!("wal.recovery", "durable store opened";
             snapshot_records = s.stats.snapshot_records,
             wal_records = s.stats.wal_records,
             replayed = s.stats.replayed_records,
-            upgraded = s.stats.wal_upgraded,
             next_seq = s.next_seq);
         Ok(s)
     }
@@ -875,22 +811,12 @@ impl<S: KvStore> DurableStore<S> {
     /// in-memory state wholesale, and rotate the WAL. The standby
     /// resumes applying groups at `last_covered_seq + 1`.
     pub fn install_snapshot(&mut self, env: &[u8]) -> Result<usize, String> {
-        if !env.starts_with(SNAP_MAGIC) || env.len() < SNAP_HEADER_LEN {
-            return Err("bad snapshot envelope".into());
-        }
-        if env[4] != SNAP_VERSION {
-            return Err(format!("unsupported snapshot version {}", env[4]));
-        }
-        let want = u32::from_le_bytes(env[SNAP_CRC_OFFSET..SNAP_HEADER_LEN].try_into().unwrap());
-        if crc32(&env[..SNAP_CRC_OFFSET]) != want {
-            return Err("snapshot envelope header checksum mismatch".into());
-        }
-        let snap_seq = u64::from_le_bytes(env[5..SNAP_CRC_OFFSET].try_into().unwrap());
+        let (snap_seq, image) = open_envelope(env)?;
         // Fully parse + checksum the image payload BEFORE touching the
         // disk envelope or the live store: a corrupt ship must leave
         // this replica serving (and acking) its current state, never
         // gut a running standby that then keeps taking the stream.
-        crate::snapshot::validate(&env[SNAP_HEADER_LEN..])?;
+        crate::snapshot::validate(image)?;
         let io = |what: &str, e: std::io::Error| format!("snapshot install {what}: {e}");
         let tmp = self.dir.join("snapshot.tmp");
         {
@@ -903,7 +829,7 @@ impl<S: KvStore> DurableStore<S> {
             let _ = d.sync_all();
         }
         let _ = self.inner.extract_prefix(b"");
-        let count = crate::snapshot::load(&mut self.inner, &env[SNAP_HEADER_LEN..])?;
+        let count = crate::snapshot::load(&mut self.inner, image)?;
         let _ = self.inner.take_cost();
         // Rotate the WAL only after the snapshot is durable (same
         // ordering argument as `checkpoint`).
@@ -1268,46 +1194,28 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_log_replays_and_rotates_to_v2() {
+    fn a_flipped_header_bit_fails_open_and_leaves_the_log_intact() {
         let scratch = Scratch::new();
-        std::fs::create_dir_all(&scratch.0).unwrap();
-        // Hand-write a v1 (headerless, XOR-checksummed) log.
-        let mut v1 = Vec::new();
-        for (op, key, parts) in [
-            (OP_PUT, &b"a"[..], vec![&b"1"[..]]),
-            (OP_APPEND, &b"l"[..], vec![&b"xy"[..]]),
-            (OP_DELETE, &b"ghost"[..], vec![]),
-        ] {
-            let mut rec = vec![op];
-            rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            rec.extend_from_slice(key);
-            for p in parts {
-                rec.extend_from_slice(&(p.len() as u32).to_le_bytes());
-                rec.extend_from_slice(p);
+        {
+            let mut db = fresh(&scratch.0);
+            for i in 0..50u32 {
+                db.put(&i.to_be_bytes(), b"value");
             }
-            rec.push(v1_checksum(&rec));
-            v1.extend_from_slice(&rec);
-        }
-        std::fs::write(wal_path(&scratch.0), &v1).unwrap();
-        {
-            let mut db = fresh(&scratch.0);
-            assert_eq!(db.get(b"a").as_deref(), Some(&b"1"[..]));
-            assert_eq!(db.get(b"l").as_deref(), Some(&b"xy"[..]));
-            assert!(db.stats().wal_upgraded);
-            assert!(snap_path(&scratch.0).exists());
-        }
-        // The rotated log is v2 now and keeps working.
-        let head = std::fs::read(wal_path(&scratch.0)).unwrap();
-        assert!(head.starts_with(WAL_MAGIC));
-        {
-            let mut db = fresh(&scratch.0);
-            assert!(!db.stats().wal_upgraded);
-            db.put(b"new", b"rec");
             db.sync().unwrap();
         }
-        let mut db = fresh(&scratch.0);
-        assert_eq!(db.get(b"new").as_deref(), Some(&b"rec"[..]));
-        assert_eq!(db.get(b"a").as_deref(), Some(&b"1"[..]));
+        let p = wal_path(&scratch.0);
+        let mut bytes = std::fs::read(&p).unwrap();
+        bytes[0] ^= 0x01;
+        std::fs::write(&p, &bytes).unwrap();
+        let err = DurableStore::open(&scratch.0, BTreeDb::new(KvConfig::default()))
+            .err()
+            .expect("a log that is not v2 must not open");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            std::fs::read(&p).unwrap(),
+            bytes,
+            "the refused log must stay byte-identical"
+        );
     }
 
     #[test]

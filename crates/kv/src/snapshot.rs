@@ -3,17 +3,15 @@
 //! store. This is the persistence/restart substrate the servers build
 //! on — the moral equivalent of copying a Kyoto Cabinet database file.
 //!
-//! Current format (v2): `b"LKV2"` magic ‖ u64 record count ‖ per record
-//! (u32 key-len ‖ key ‖ u32 value-len ‖ value) ‖ trailing IEEE CRC32
-//! (LE) over everything before it. The crc turns any bit flip anywhere
-//! in the image into a clean load error instead of silently corrupted
-//! metadata. v1 images (`b"LKV1"`, no crc) still load — durable stores
-//! written before the WAL v2 upgrade recover transparently.
+//! Format (v2, the only one read): `b"LKV2"` magic ‖ u64 record count
+//! ‖ per record (u32 key-len ‖ key ‖ u32 value-len ‖ value) ‖ trailing
+//! IEEE CRC32 (LE) over everything before it. The crc turns any bit
+//! flip anywhere in the image into a clean load error instead of
+//! silently corrupted metadata.
 
 use crate::KvStore;
 use loco_types::checksum::crc32;
 
-const MAGIC_V1: &[u8; 4] = b"LKV1";
 const MAGIC_V2: &[u8; 4] = b"LKV2";
 
 /// Serialize all records (full scan, key order for ordered stores)
@@ -40,9 +38,9 @@ pub fn dump(store: &mut dyn KvStore) -> Vec<u8> {
     out
 }
 
-/// Load an image produced by [`dump`] (v2, crc-checked) or by its v1
-/// predecessor (no crc) into `store` (which should be empty). Returns
-/// the number of records loaded. Corruption — truncation, bit flips,
+/// Load an image produced by [`dump`] into `store` (which should be
+/// empty), after checking its crc. Returns the number of records
+/// loaded. Corruption — truncation, bit flips,
 /// oversized lengths, trailing bytes — is an error, never a panic and
 /// never a partial load the caller can't detect.
 pub fn load(store: &mut dyn KvStore, bytes: &[u8]) -> Result<usize, String> {
@@ -58,27 +56,20 @@ pub fn validate(bytes: &[u8]) -> Result<usize, String> {
 }
 
 fn walk(mut bytes: &[u8], mut sink: impl FnMut(&[u8], &[u8])) -> Result<usize, String> {
-    if bytes.len() < 4 {
+    if bytes.len() < 16 {
         return Err("truncated snapshot".into());
     }
-    let v2 = match &bytes[..4] {
-        m if m == MAGIC_V2 => true,
-        m if m == MAGIC_V1 => false,
-        _ => return Err("bad snapshot magic".into()),
-    };
-    if v2 {
-        // Peel and verify the trailing crc before trusting any length
-        // field inside.
-        if bytes.len() < 16 {
-            return Err("truncated snapshot".into());
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-        if crc32(body) != stored {
-            return Err("snapshot checksum mismatch".into());
-        }
-        bytes = body;
+    if !bytes.starts_with(MAGIC_V2) {
+        return Err("bad snapshot magic".into());
     }
+    // Peel and verify the trailing crc before trusting any length field
+    // inside.
+    let (body, trailer) = bytes.split_at(bytes.len() - 4);
+    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
+    if crc32(body) != stored {
+        return Err("snapshot checksum mismatch".into());
+    }
+    bytes = body;
     fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
         if bytes.len() < n {
             return Err("truncated snapshot".into());
@@ -157,6 +148,12 @@ mod tests {
         assert!(load(&mut dst, &image).is_err());
         image.extend_from_slice(b"vXX"); // trailing garbage
         assert!(load(&mut dst, &image).is_err());
+        // A v1 image (`LKV1`, no crc) is refused, not trusted unchecked.
+        let mut v1 = dump(&mut src);
+        v1.truncate(v1.len() - 4);
+        v1[..4].copy_from_slice(b"LKV1");
+        assert!(load(&mut dst, &v1).is_err());
+        assert!(dst.is_empty());
     }
 
     /// Randomized model test (seeded, deterministic): arbitrary byte

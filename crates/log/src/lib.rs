@@ -1,6 +1,6 @@
 //! # loco-log — structured, trace-correlated, ring-buffered logging
 //!
-//! Every daemon keeps the last N log events in a fixed-size in-memory
+//! Every daemon keeps the last 4096 log events in a fixed-size in-memory
 //! ring; nothing is written to disk by the hot path. Events are
 //! structured — a static `target` (subsystem), a static `msg`, and
 //! typed `key=value` fields — and automatically carry the trace/span
@@ -28,10 +28,9 @@
 //!   `off|error|warn|info|debug|trace` (default `info`);
 //! * `LOCO_LOG_STDERR` — minimum level *also* mirrored to stderr as a
 //!   text line (default `error`; `off` silences);
-//! * `LOCO_LOG_RING` — ring capacity in events (default 4096);
-//! * `LOCO_LOG_DUMP` / `LOCO_LOG_SOURCE` — see [`dump_env`]: clients
-//!   (bench harnesses, chaos workloads) flush their ring to a JSONL
-//!   file the collector's report phase merges into the timeline.
+//! * `LOCO_LOG_DUMP` — see [`dump_env`]: clients (bench harnesses,
+//!   chaos workloads) flush their ring to a JSONL file the collector's
+//!   report phase merges into the timeline.
 //!
 //! The crate depends on nothing, so any layer — including `loco-faults`
 //! and `loco-kv`, which sit below the observability stack — can log.
@@ -397,14 +396,9 @@ static RING: OnceLock<Ring> = OnceLock::new();
 
 fn ring() -> &'static Ring {
     RING.get_or_init(|| {
-        let capacity = std::env::var("LOCO_LOG_RING")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(4096);
         let boot_id = wall_us() ^ ((std::process::id() as u64) << 48);
         Ring {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            slots: (0..CAPACITY).map(|_| Mutex::new(None)).collect(),
             head: AtomicU64::new(0),
             boot_id,
             start: Instant::now(),
@@ -419,9 +413,11 @@ fn wall_us() -> u64 {
         .unwrap_or(0)
 }
 
-/// Ring capacity in events (env `LOCO_LOG_RING`, default 4096).
+const CAPACITY: usize = 4096;
+
+/// Ring capacity in events.
 pub fn capacity() -> usize {
-    ring().slots.len()
+    CAPACITY
 }
 
 /// This process incarnation's identity, carried in every [`tail_json`]
@@ -657,14 +653,13 @@ pub fn dump_jsonl(path: &std::path::Path, source: &str) -> std::io::Result<usize
     Ok(t.events.len())
 }
 
-/// If `LOCO_LOG_DUMP=path` is set, flush the ring there (tagged with
-/// `LOCO_LOG_SOURCE`, default `"client"`). Harness binaries call this
-/// before exiting so client-side events (reconnects, watchdog warns)
-/// reach the collector's merged timeline.
+/// If `LOCO_LOG_DUMP=path` is set, flush the ring there, tagged with
+/// source `"client"`. Harness binaries call this before exiting so
+/// client-side events (reconnects, watchdog warns) reach the
+/// collector's merged timeline.
 pub fn dump_env() -> Option<usize> {
     let path = std::env::var("LOCO_LOG_DUMP").ok()?;
-    let source = std::env::var("LOCO_LOG_SOURCE").unwrap_or_else(|_| "client".to_string());
-    dump_jsonl(std::path::Path::new(&path), &source).ok()
+    dump_jsonl(std::path::Path::new(&path), "client").ok()
 }
 
 #[cfg(test)]

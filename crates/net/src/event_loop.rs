@@ -273,7 +273,9 @@ fn commit_round<S: Service>(
         Some((n, fsync)) => {
             let t0 = Instant::now();
             fsync();
-            if let Some(m) = metrics {
+            // A stage that covers no records (a replicated primary's
+            // quorum wait after a maintenance sync) ran no fsync.
+            if let Some(m) = metrics.filter(|_| n > 0) {
                 m.wal_fsync(t0.elapsed());
             }
             n
@@ -1344,5 +1346,41 @@ mod tests {
         assert_eq!(released(&mut by_worker), vec![3]);
         assert_eq!(shared.stages.load(Ordering::Relaxed), 2);
         assert!(lock(&shared.state).waiters.is_empty());
+    }
+
+    /// Stages its quorum wait with no records to fsync, like a
+    /// replicated primary after a maintenance sync.
+    struct QuorumOnly;
+
+    impl Service for QuorumOnly {
+        type Req = ();
+        type Resp = ();
+        fn handle(&mut self, _: ()) {}
+        fn take_cost(&mut self) -> Nanos {
+            0
+        }
+        fn commit_flush_begin(&mut self) -> Option<(u64, CommitFsync)> {
+            Some((0, Box::new(|| {})))
+        }
+    }
+
+    #[test]
+    fn a_stage_covering_no_records_adds_no_fsync_sample() {
+        let registry = Arc::new(loco_obs::MetricsRegistry::new());
+        let id = ServerId::new(crate::class::DMS, 0);
+        let metrics = ServerMetrics::register(&registry, id);
+        let shared = shared();
+        lock(&shared.state).waiters.push(waiter(1, 1));
+        let mut by_worker = vec![Vec::new()];
+        commit_round(
+            &Mutex::new(QuorumOnly),
+            &shared,
+            Some(&*metrics),
+            &mut by_worker,
+        );
+        assert_eq!(released(&mut by_worker), vec![1]);
+        let fsyncs =
+            registry.histogram("loco_wal_fsync_nanos", &[("role", "dms"), ("server", "0")]);
+        assert_eq!(fsyncs.count(), 0);
     }
 }

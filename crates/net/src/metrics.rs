@@ -234,7 +234,8 @@ impl EndpointMetrics {
 /// * `loco_wal_batch_size` — WAL records covered by one group-commit
 ///   fsync. `sum > count` proves cross-connection batching happened;
 /// * `loco_wal_fsync_nanos` — wall time of one group-commit fsync (for
-///   a replicated primary, including its standby-quorum wait);
+///   a replicated primary, including its standby-quorum wait; a stage
+///   with no records to sync adds no sample);
 /// * `loco_wal_commit_wait_nanos` — wall time one durable reply stayed
 ///   parked with the group committer, until the fsync covering its
 ///   records returned;

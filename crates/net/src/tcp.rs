@@ -31,14 +31,14 @@
 //!   metrics).
 //!
 //! The server half, [`serve_tcp`], hosts one [`Service`] on a
-//! listening socket via the event-driven core in
-//! [`event_loop`](crate::event_loop): one acceptor plus a fixed set of
-//! worker readiness loops (non-blocking reads, incremental frame
-//! assembly, buffered writes with backpressure, pipelined requests per
-//! connection), and — for durable services — a group-commit thread
-//! that batches WAL fsyncs across connections while preserving
-//! WAL-before-ack. Handlers run under the service mutex (LocoFS
-//! servers are single-writer by design). Graceful shutdown — via
+//! listening socket via the event-driven core (`event_loop.rs`): one
+//! acceptor plus a fixed set of worker readiness loops (non-blocking
+//! reads, incremental frame assembly, buffered writes with
+//! backpressure, pipelined requests per connection), and — for
+//! durable services — a group-commit thread that batches WAL fsyncs
+//! across connections while preserving WAL-before-ack. Handlers run
+//! under the service mutex (LocoFS servers are single-writer by
+//! design). Graceful shutdown — via
 //! [`TcpServerGuard::shutdown`] or a [`Control::Shutdown`] frame —
 //! stops accepting, lets every in-flight request finish and its
 //! response flush, then closes. A corrupt frame closes only the
@@ -115,47 +115,25 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Defaults overridable via `LOCO_RPC_ATTEMPTS`,
-    /// `LOCO_RPC_BACKOFF_MS`, `LOCO_RPC_DEADLINE_MS` and
-    /// `LOCO_RPC_RECONNECT_MS` — the fault tests shrink these to keep
-    /// retry exhaustion fast; the chaos harness widens the reconnect
-    /// window to ride out a daemon restart. The loco-guard knobs read
-    /// `LOCO_RPC_RETRY_BUDGET`, `LOCO_RPC_BRKR_THRESHOLD` and
-    /// `LOCO_RPC_BRKR_COOLDOWN_MS`; `LOCO_GUARD=off` zeroes the budget
-    /// and breaker (the baseline arm of the overload bench).
+    /// The defaults, with two environment overrides:
+    /// `LOCO_RPC_RECONNECT_MS` widens the reconnect window (the chaos
+    /// harness rides out a daemon restart with it), and
+    /// `LOCO_GUARD=off` zeroes the retry budget and the breaker (the
+    /// baseline arm of the overload bench).
     pub fn from_env() -> Self {
         let mut p = Self::default();
-        if let Some(n) = env_u64("LOCO_RPC_ATTEMPTS") {
-            p.attempts = (n as u32).max(1);
-        }
-        if let Some(ms) = env_u64("LOCO_RPC_BACKOFF_MS") {
-            p.backoff = Duration::from_millis(ms);
-        }
-        if let Some(ms) = env_u64("LOCO_RPC_DEADLINE_MS") {
-            p.deadline = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) = env_u64("LOCO_RPC_RECONNECT_MS") {
+        if let Some(ms) = std::env::var("LOCO_RPC_RECONNECT_MS")
+            .ok()
+            .and_then(|v| v.trim().parse().ok())
+        {
             p.reconnect_window = Duration::from_millis(ms);
         }
         if !crate::event_loop::guard_enabled() {
             p.retry_budget = 0;
             p.breaker_threshold = 0;
         }
-        if let Some(n) = env_u64("LOCO_RPC_RETRY_BUDGET") {
-            p.retry_budget = n as u32;
-        }
-        if let Some(n) = env_u64("LOCO_RPC_BRKR_THRESHOLD") {
-            p.breaker_threshold = n as u32;
-        }
-        if let Some(ms) = env_u64("LOCO_RPC_BRKR_COOLDOWN_MS") {
-            p.breaker_cooldown = Duration::from_millis(ms.max(1));
-        }
         p
     }
-}
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.trim().parse().ok()
 }
 
 /// Encode a remaining deadline budget as the wire's `budget_ms` field:

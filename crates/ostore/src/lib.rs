@@ -14,7 +14,7 @@
 use loco_kv::{HashDb, KvConfig, KvStore};
 use loco_net::{Nanos, Service};
 use loco_sim::time::CostAcc;
-use loco_types::{FsError, FsResult, Uuid};
+use loco_types::{FsError, FsResult, OpClass, Uuid};
 
 /// Requests handled by an object-store server.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,12 +63,13 @@ pub enum OstoreResponse {
     Removed(usize),
 }
 
-// Wire codec for the RPC transport. Tags are protocol: append-only.
+// The OST op table and wire codec: tag, variant (the request's label)
+// and class per request. Tags are protocol: append-only.
 loco_types::impl_wire_enum!(OstoreRequest, "ostore-request", {
-    0 => WriteBlock { uuid, blk, data },
-    1 => ReadBlock { uuid, blk },
-    2 => TruncateBlocks { uuid, keep_blocks },
-    3 => RemoveObject { uuid },
+    0 => WriteBlock { uuid, blk, data }: Set,
+    1 => ReadBlock { uuid, blk }: Read,
+    2 => TruncateBlocks { uuid, keep_blocks }: Set,
+    3 => RemoveObject { uuid }: Set,
 });
 
 loco_types::impl_wire_enum!(OstoreResponse, "ostore-response", tuple {
@@ -242,25 +243,15 @@ impl Service for ObjectStore {
     }
 
     fn req_label(req: &OstoreRequest) -> &'static str {
-        match req {
-            OstoreRequest::WriteBlock { .. } => "WriteBlock",
-            OstoreRequest::ReadBlock { .. } => "ReadBlock",
-            OstoreRequest::TruncateBlocks { .. } => "TruncateBlocks",
-            OstoreRequest::RemoveObject { .. } => "RemoveObject",
-        }
+        req.label()
     }
 
-    /// Only ReadBlock (tag 1) is a read; block writes, truncates, and object
-    /// removal all mutate the store.
     fn tag_mutates(tag: u8) -> bool {
-        tag != 1
+        OstoreRequest::class_of_tag(tag).is_none_or(OpClass::mutates)
     }
 
-    /// Every OST op is idempotent by content: WriteBlock overwrites the same
-    /// block bytes, TruncateBlocks/RemoveObject converge to the same state,
-    /// and ReadBlock is a pure read. Blind re-send is always safe.
-    fn req_idempotent(_req: &OstoreRequest) -> bool {
-        true
+    fn req_idempotent(req: &OstoreRequest) -> bool {
+        req.class().idempotent()
     }
 }
 

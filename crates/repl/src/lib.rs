@@ -649,6 +649,12 @@ impl ReplCtl {
         }
     }
 
+    /// Raise the batch-abort flag: the committer drops the replies of
+    /// the batch being staged.
+    pub fn abort_batch(&self) {
+        self.abort_pending.store(true, Ordering::Release);
+    }
+
     /// Take (and clear) the pending batch-abort flag.
     pub fn take_abort(&self) -> bool {
         self.abort_pending.swap(false, Ordering::AcqRel)

@@ -45,4 +45,4 @@ pub use meta::{DirInode, FileAccess, FileContent};
 pub use op_matrix::{parts_touched, MetaPart, OpKind};
 pub use path::{basename, components, depth, join, normalize, parent};
 pub use ring::HashRing;
-pub use wire::{Wire, WireError, WireResult, MAX_WIRE_LEN};
+pub use wire::{OpClass, Wire, WireError, WireResult, MAX_WIRE_LEN};

@@ -286,13 +286,43 @@ macro_rules! tuple_wire {
 
 tuple_wire!((0 A, 1 B), (0 A, 1 B, 2 C));
 
+/// How a request touches server state. Admission control sheds
+/// mutations while reads drain, and a client re-sends an idempotent
+/// request after an ambiguous failure instead of reporting
+/// `MaybeApplied`. Declared once per request, in its
+/// [`impl_wire_enum!`](crate::impl_wire_enum) row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpClass {
+    /// No mutation; safe to re-send.
+    Read,
+    /// Writes absolute values the caller supplies; safe to re-send.
+    Set,
+    /// A second landing is observable (e.g. `AlreadyExists` on a
+    /// create that did land).
+    Once,
+}
+
+impl OpClass {
+    /// Whether the request may change server state.
+    pub fn mutates(self) -> bool {
+        self != OpClass::Read
+    }
+
+    /// Whether re-sending the request after an ambiguous failure is
+    /// safe.
+    pub fn idempotent(self) -> bool {
+        self != OpClass::Once
+    }
+}
+
 /// Implement [`Wire`] for an enum by writing a one-byte tag followed by
 /// the variant's fields in declaration order. Two forms:
 ///
 /// ```ignore
 /// impl_wire_enum!(MyRequest, "my-request", {
-///     0 => Get { key, len },
-///     1 => Put { key, value },
+///     0 => Get { key, len }: Read,
+///     1 => Put { key, value }: Set,
+///     2 => Append { key, value }: Once,
 /// });
 /// impl_wire_enum!(MyResponse, "my-response", tuple {
 ///     0 => Value(v),
@@ -300,12 +330,17 @@ tuple_wire!((0 A, 1 B), (0 A, 1 B, 2 C));
 /// });
 /// ```
 ///
+/// The request (brace) form is the role's op table: each row ends with
+/// the request's [`OpClass`], and the macro also generates
+/// `label(&self)` (the variant name), `class(&self)` and
+/// `class_of_tag(tag)` (`None` for a tag the decoder rejects).
+///
 /// Tags are part of the wire protocol: never renumber an existing
 /// variant, only append.
 #[macro_export]
 macro_rules! impl_wire_enum {
     ($ty:ident, $what:literal, {
-        $( $tag:literal => $variant:ident { $($f:ident),* $(,)? } ),+ $(,)?
+        $( $tag:literal => $variant:ident { $($f:ident),* $(,)? }: $class:ident ),+ $(,)?
     }) => {
         impl $crate::wire::Wire for $ty {
             fn put(&self, out: &mut Vec<u8>) {
@@ -322,6 +357,31 @@ macro_rules! impl_wire_enum {
                         $($f: $crate::wire::Wire::get(buf)?),*
                     }), )+
                     tag => Err($crate::wire::WireError::BadTag { what: $what, tag }),
+                }
+            }
+        }
+
+        impl $ty {
+            /// The variant name: the request's metric and log label.
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $( $ty::$variant { .. } => stringify!($variant), )+
+                }
+            }
+
+            /// How the request touches server state.
+            pub fn class(&self) -> $crate::wire::OpClass {
+                match self {
+                    $( $ty::$variant { .. } => $crate::wire::OpClass::$class, )+
+                }
+            }
+
+            /// The class of the request a wire tag encodes; `None` for
+            /// a tag the decoder rejects.
+            pub fn class_of_tag(tag: u8) -> Option<$crate::wire::OpClass> {
+                match tag {
+                    $( $tag => Some($crate::wire::OpClass::$class), )+
+                    _ => None,
                 }
             }
         }

@@ -117,11 +117,9 @@ parked commit waiters per worker and --shed-watermark caps committer
 queue depth — past either, mutations are shed with a fast Overloaded
 reject while reads drain (LOCO_GUARD=off disables). chaos-proxy runs
 a misbehaving TCP relay (latency/bandwidth/partition/dribble/kill)
-tuned at runtime via chaos-ctl. Env knobs: LOCO_RPC_DEADLINE_MS /
-ATTEMPTS / BACKOFF_MS / RECONNECT_MS / CONNS / RETRY_BUDGET /
-BRKR_THRESHOLD / BRKR_COOLDOWN_MS and LOCO_OP_DEADLINE_MS (client
-side), LOCO_TRACE (span sampling), LOCO_CRASHPOINT / LOCO_IOFAULT
-(fault injection, see loco-faults).";
+tuned at runtime via chaos-ctl. Env knobs: LOCO_RPC_RECONNECT_MS and
+LOCO_OP_DEADLINE_MS (client side), LOCO_TRACE (span sampling),
+LOCO_CRASHPOINT / LOCO_IOFAULT (fault injection, see loco-faults).";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("locod: {msg}");
@@ -657,17 +655,12 @@ fn role_store(
     let (store, stats) = open_durable(dir, inner_of(), a.sync_policy, a.checkpoint_every)?;
     println!(
         "locod: {} #{} recovered {} records from snapshot + {} replayed from wal \
-         (sync-policy {}{})",
+         (sync-policy {})",
         a.role,
         a.index,
         stats.snapshot_records,
         stats.replayed_records,
         a.sync_policy.as_str(),
-        if stats.wal_upgraded {
-            ", legacy wal upgraded to v2"
-        } else {
-            ""
-        },
     );
     Ok(store)
 }

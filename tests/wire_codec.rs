@@ -10,7 +10,9 @@ use locofs::kv::{AccessStats, BTreeDb, HashDb, KvConfig, KvStore};
 use locofs::net::frame::{crc32, decode_header, encode_frame, read_frame, FrameKind, HEADER_LEN};
 use locofs::net::{Nanos, ReplStamp, RpcRequest, RpcResponse, Service, SpanReply, TraceCtx};
 use locofs::ostore::{ObjectStore, OstoreRequest, OstoreResponse};
-use locofs::types::{DirInode, FileAccess, FileContent, FsError, Perm, Uuid, Wire, WireError};
+use locofs::types::{
+    DirInode, FileAccess, FileContent, FsError, OpClass, Perm, Uuid, Wire, WireError,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -531,9 +533,10 @@ fn random_garbage_never_decodes_as_anything_dangerous() {
 // ---- op classification vs the codec and the handlers -----------------
 //
 // `Service::tag_mutates` (admission control sheds by raw wire tag) and
-// `Service::req_idempotent` (blind retry vs `MaybeApplied`) restate
-// facts about each request. These checks tie them to the codec's tag
-// space and to what the handlers actually do to the store.
+// `Service::req_idempotent` (blind retry vs `MaybeApplied`) read each
+// role's op table, the class column of its `impl_wire_enum!` rows.
+// These checks tie that table to the codec's tag space and to what the
+// handlers actually do to the store.
 
 /// A store wrapper counting the calls that change contents. The inner
 /// store is shared, so a test can read it back after handing the
@@ -770,21 +773,39 @@ fn ost_role() -> Role<ObjectStore> {
 }
 
 /// Every tag byte the decoder accepts (anything but `BadTag` when the
-/// tag is the whole input) has a sample above.
-fn unsampled_tags<T: Wire>(what: &str, samples: &[T]) -> Vec<String> {
+/// tag is the whole input) has a sample above, and the op table has a
+/// class for exactly those tags.
+fn tag_gaps<T: Wire>(
+    what: &str,
+    samples: &[T],
+    class_of_tag: fn(u8) -> Option<OpClass>,
+) -> Vec<String> {
     let sampled: Vec<u8> = samples.iter().map(|s| s.to_wire()[0]).collect();
-    (0..=u8::MAX)
-        .filter(|tag| !matches!(T::from_wire(&[*tag]), Err(WireError::BadTag { .. })))
-        .filter(|tag| !sampled.contains(tag))
-        .map(|tag| format!("{what} tag {tag} decodes but has no sample"))
-        .collect()
+    let mut bad = Vec::new();
+    for tag in 0..=u8::MAX {
+        let accepted = !matches!(T::from_wire(&[tag]), Err(WireError::BadTag { .. }));
+        if accepted && !sampled.contains(&tag) {
+            bad.push(format!("{what} tag {tag} decodes but has no sample"));
+        }
+        if accepted != class_of_tag(tag).is_some() {
+            bad.push(format!(
+                "{what} tag {tag}: decoder accepts it: {accepted}, class_of_tag: {:?}",
+                class_of_tag(tag)
+            ));
+        }
+    }
+    bad
 }
 
 #[test]
 fn every_accepted_request_tag_has_a_sample() {
-    let mut bad = unsampled_tags("dms", &dms_requests());
-    bad.extend(unsampled_tags("fms", &fms_requests()));
-    bad.extend(unsampled_tags("ost", &ost_requests()));
+    let mut bad = tag_gaps("dms", &dms_requests(), DmsRequest::class_of_tag);
+    bad.extend(tag_gaps("fms", &fms_requests(), FmsRequest::class_of_tag));
+    bad.extend(tag_gaps(
+        "ost",
+        &ost_requests(),
+        OstoreRequest::class_of_tag,
+    ));
     assert!(bad.is_empty(), "{bad:#?}");
 }
 
