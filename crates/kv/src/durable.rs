@@ -6,10 +6,11 @@
 //! want real persistence (the daemons and the crash-recovery tests use
 //! it):
 //!
-//! * every mutation is appended to `wal.log` before being applied to
-//!   the wrapped store, and the WAL is flushed to the OS per commit
-//!   group (so an acknowledged op survives `kill -9`) and fsync'd
-//!   according to [`SyncPolicy`] (so it can also survive power loss);
+//! * every mutation is logged to `wal.log` before being applied to
+//!   the wrapped store; each commit group is written to the OS with no
+//!   user-space buffer (so an acknowledged op survives `kill -9`) and
+//!   fsync'd according to [`SyncPolicy`] (so it can also survive power
+//!   loss);
 //! * mutations bracketed by [`KvStore::txn_begin`] /
 //!   [`KvStore::txn_commit`] form a *commit group*: the group is
 //!   written as one contiguous run of records whose last record carries
@@ -24,7 +25,27 @@
 //!   on the next boot;
 //! * [`DurableStore::open`] recovers by loading the snapshot and
 //!   replaying committed groups, then truncates the log to the valid
-//!   prefix so a torn tail can never shadow later appends.
+//!   prefix so a torn tail can never shadow later writes. Non-zero
+//!   bytes past that prefix are first copied to a new
+//!   `wal.discarded.<n>` (never overwritten), and a warning names the
+//!   seqs of any sealed groups found in them.
+//!
+//! ## The log file
+//!
+//! The log is one file handle written with positioned writes at a
+//! tracked offset. Under [`SyncPolicy::EveryRecord`] the file keeps a
+//! tail of written zeros past that offset, extended 1 MiB at a time
+//! when a group would cross its end. A group then overwrites blocks
+//! that are already allocated, and its `fdatasync` commits no file-size
+//! change through the filesystem journal. The zeros must be written: a
+//! hole or unwritten extent (`set_len`, `fallocate`) still changes
+//! metadata on its first write. The tail is reserved lazily, at the
+//! first group after an open or rotation, so a fresh log is its bare
+//! header. Replay stops at the tail (op byte 0 never parses), and
+//! `open` truncates the file to its last sealed group, so no stale
+//! record can follow the write position and records need no generation
+//! field. [`SyncPolicy::OsManaged`] logs append: no fsync sits on their
+//! path, and a small in-place write costs more than an append.
 //!
 //! ## On-disk formats
 //!
@@ -65,8 +86,10 @@ use crate::{AccessStats, KvStore};
 use loco_sim::time::Nanos;
 use loco_types::checksum::crc32;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const OP_PUT: u8 = 1;
 const OP_DELETE: u8 = 2;
@@ -76,6 +99,13 @@ const OP_WRITE_AT: u8 = 4;
 const WAL_MAGIC: &[u8; 4] = b"LWAL";
 const WAL_VERSION: u8 = 2;
 const WAL_HEADER_LEN: usize = 5;
+const WAL_HEADER: [u8; WAL_HEADER_LEN] = [
+    WAL_MAGIC[0],
+    WAL_MAGIC[1],
+    WAL_MAGIC[2],
+    WAL_MAGIC[3],
+    WAL_VERSION,
+];
 
 const SNAP_MAGIC: &[u8; 4] = b"LSNP";
 const SNAP_VERSION: u8 = 2;
@@ -89,19 +119,29 @@ const FLAG_COMMIT: u8 = 0x01;
 /// Byte offset of the flags byte inside an encoded record (after the
 /// u64 seq), patched when the group seals.
 const FLAGS_OFFSET: usize = 8;
+/// Smallest possible record: seq, flags, op, key length and crc.
+const MIN_RECORD_LEN: usize = 18;
+
+/// Under [`SyncPolicy::EveryRecord`] the log keeps a zero-filled tail
+/// ahead of its write position, grown this much at a time, so a
+/// group's fsync overwrites allocated blocks instead of also
+/// committing a file-size change.
+const WAL_RESERVE: usize = 1 << 20;
+static ZEROS: [u8; WAL_RESERVE] = [0; WAL_RESERVE];
 
 /// Commit tap: called as `(first_seq, last_seq, bytes)` with the
 /// sealed, crc-complete bytes of every commit group immediately after
-/// the group is appended + flushed to the local WAL. The bytes are the
+/// the group is written to the local WAL. The bytes are the
 /// exact on-disk encoding — a standby feeds them verbatim to
 /// [`DurableStore::apply_replicated_group`]. Invoked under the store
 /// lock, so tap invocations observe groups in WAL order.
 pub type CommitTap = Box<dyn FnMut(u64, u64, &[u8]) + Send>;
 
-/// When the WAL is fsync'd. Independently of the policy, the WAL is
-/// *flushed* (userspace buffer → OS page cache) per commit group, so
+/// When the WAL is fsync'd. Independently of the policy, each commit
+/// group is written to the OS page cache before it is acknowledged, so
 /// acknowledged mutations survive a `kill -9` under either policy; the
-/// policy only decides whether they also survive power loss.
+/// policy decides whether they also survive power loss, and whether
+/// the log keeps a zero-filled tail to overwrite in place.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// fsync every commit group (safest, slowest).
@@ -147,13 +187,26 @@ pub struct PersistenceStats {
     /// group-commit win is this counter staying far below the op
     /// count.
     pub wal_fsyncs: u64,
+    /// Non-zero WAL bytes the last `open` could not replay and moved
+    /// to a `wal.discarded.<n>` file before truncating the log.
+    pub discarded_bytes: u64,
+    /// Crc-valid records of sealed groups found inside those bytes,
+    /// past the damage that stopped replay.
+    pub discarded_records: u64,
 }
 
 /// Durable wrapper over a store.
 pub struct DurableStore<S: KvStore> {
     inner: S,
     dir: PathBuf,
-    wal: BufWriter<File>,
+    /// The log, written only with positioned writes at `wal_pos`; the
+    /// out-of-lock group-commit fsync holds a clone of the `Arc`.
+    wal: Arc<File>,
+    /// End of the logged bytes: where the next group is written.
+    wal_pos: u64,
+    /// File length; `wal_len - wal_pos` bytes of zeros follow the
+    /// logged bytes (none under [`SyncPolicy::OsManaged`]).
+    wal_len: u64,
     next_seq: u64,
     policy: SyncPolicy,
     /// Checkpoint automatically after this many logged mutations.
@@ -162,7 +215,7 @@ pub struct DurableStore<S: KvStore> {
     /// Encoded-but-uncommitted records (crc appended at commit).
     txn_buf: Vec<Vec<u8>>,
     /// Group-commit mode: under [`SyncPolicy::EveryRecord`], commit
-    /// groups are appended + flushed but their fsync is deferred to an
+    /// groups are written to the OS but their fsync is deferred to an
     /// explicit [`DurableStore::commit_flush`] — the hosting server
     /// promises not to acknowledge the group before calling it.
     defer_sync: bool,
@@ -289,6 +342,80 @@ fn parse_v2_record(buf: &[u8], start: usize) -> Option<(RecView, usize)> {
     ))
 }
 
+/// Seq ranges of the sealed groups that still parse in `buf` past
+/// `valid_end`, where replay stopped; `last_seq` is the last seq the
+/// replayed prefix covers. Linear: the full parse runs only at offsets
+/// whose flags and op bytes are valid and whose seq could follow
+/// `last_seq` across the bytes skipped so far (each record takes at
+/// least [`MIN_RECORD_LEN`] of them).
+fn sealed_ranges_past(buf: &[u8], valid_end: usize, last_seq: u64) -> Vec<(u64, u64)> {
+    let mut ranges: Vec<(u64, u64)> = Vec::new();
+    let (mut last, mut from, mut pos) = (last_seq, valid_end, valid_end);
+    let mut group_first = None;
+    // A record's seq is non-zero, so none starts past the last
+    // non-zero byte: the zero tail is not scanned.
+    let stop = last_nonzero(buf).unwrap_or(0);
+    while pos <= stop && pos + MIN_RECORD_LEN <= buf.len() {
+        let seq = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
+        let reach = last.saturating_add(1 + ((pos - from) / MIN_RECORD_LEN) as u64);
+        let plausible = seq > last
+            && seq <= reach
+            && buf[pos + FLAGS_OFFSET] & !FLAG_COMMIT == 0
+            && op_part_count(buf[pos + FLAGS_OFFSET + 1]).is_some();
+        match plausible.then(|| parse_v2_record(buf, pos)).flatten() {
+            Some((rec, next)) => {
+                let first = *group_first.get_or_insert(rec.seq);
+                if rec.commit {
+                    match ranges.last_mut() {
+                        Some(r) if r.1 + 1 == first => r.1 = rec.seq,
+                        _ => ranges.push((first, rec.seq)),
+                    }
+                    group_first = None;
+                }
+                (last, from, pos) = (rec.seq, next, next);
+            }
+            None => {
+                // A group broken by further damage never seals.
+                group_first = None;
+                pos += 1;
+            }
+        }
+    }
+    ranges
+}
+
+/// Index of the last non-zero byte of `buf`. Whole pages are compared
+/// against zeros first (a `memcmp`), so a zero tail is passed quickly.
+fn last_nonzero(buf: &[u8]) -> Option<usize> {
+    let mut end = buf.len();
+    for page in buf.rchunks(4096) {
+        end -= page.len();
+        if page != &ZEROS[..page.len()] {
+            return page.iter().rposition(|&b| b != 0).map(|i| end + i);
+        }
+    }
+    None
+}
+
+/// Copy bytes recovery is about to truncate to a new
+/// `wal.discarded.<n>` (never overwriting an earlier one), durable —
+/// file and directory entry — before the log shrinks.
+fn move_aside(dir: &Path, skipped: &[u8]) -> std::io::Result<PathBuf> {
+    let mut n = 0u32;
+    let (path, mut f) = loop {
+        let path = dir.join(format!("wal.discarded.{n}"));
+        match OpenOptions::new().write(true).create_new(true).open(&path) {
+            Ok(f) => break (path, f),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => n += 1,
+            Err(e) => return Err(e),
+        }
+    };
+    f.write_all(skipped)?;
+    f.sync_all()?;
+    File::open(dir)?.sync_all()?;
+    Ok(path)
+}
+
 /// Apply one record [`parse_v2_record`] accepted.
 fn apply<S: KvStore>(store: &mut S, op: u8, key: &[u8], parts: &[Vec<u8>]) {
     match op {
@@ -373,7 +500,24 @@ impl<S: KvStore> DurableStore<S> {
                     }
                     // A trailing commit-less group is a torn group
                     // write: discard it (and everything after the last
-                    // sealed group) by truncating below.
+                    // sealed group) by truncating below. The zero tail
+                    // of an every-record log needs no keeping; any
+                    // other byte is moved aside first, never destroyed.
+                    let skipped = &buf[valid_end..];
+                    if last_nonzero(skipped).is_some() {
+                        let ranges = sealed_ranges_past(&buf, valid_end, max_seq.max(snap_seq));
+                        let aside = move_aside(&dir, skipped)?;
+                        stats.discarded_bytes = skipped.len() as u64;
+                        stats.discarded_records = ranges.iter().map(|(a, b)| b - a + 1).sum();
+                        let seqs: Vec<String> =
+                            ranges.iter().map(|(a, b)| format!("{a}-{b}")).collect();
+                        loco_log::warn!("wal.recovery", "unreplayable wal bytes moved aside";
+                            file = aside.display().to_string(),
+                            from = valid_end,
+                            to = buf.len(),
+                            sealed_seqs = seqs.join(","),
+                            sealed_records = stats.discarded_records);
+                    }
                     valid_end
                 };
                 if valid_end < buf.len() {
@@ -385,19 +529,25 @@ impl<S: KvStore> DurableStore<S> {
             Err(e) => return Err(e),
         }
 
-        let file = OpenOptions::new().create(true).append(true).open(&wal_p)?;
-        let fresh = file.metadata()?.len() == 0;
-        let mut wal = BufWriter::new(file);
-        if fresh {
-            wal.write_all(WAL_MAGIC)?;
-            wal.write_all(&[WAL_VERSION])?;
-            wal.flush()?;
+        // Not `append`: positioned writes on an O_APPEND file ignore
+        // their offset.
+        let wal = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(false)
+            .open(&wal_p)?;
+        let mut wal_pos = wal.metadata()?.len();
+        if wal_pos == 0 {
+            wal.write_all_at(&WAL_HEADER, 0)?;
+            wal_pos = WAL_HEADER_LEN as u64;
         }
 
         let mut s = Self {
             inner,
             dir,
-            wal,
+            wal: Arc::new(wal),
+            wal_pos,
+            wal_len: wal_pos,
             next_seq: max_seq.max(snap_seq) + 1,
             policy: SyncPolicy::OsManaged,
             checkpoint_every: 100_000,
@@ -487,11 +637,7 @@ impl<S: KvStore> DurableStore<S> {
         // Rotate the WAL only after the snapshot is durable. If we
         // crash before this point the old log replays but its seqs are
         // ≤ the snapshot's last_seq, so nothing double-applies.
-        let mut wal = BufWriter::new(File::create(wal_path(&self.dir))?);
-        wal.write_all(WAL_MAGIC)?;
-        wal.write_all(&[WAL_VERSION])?;
-        wal.flush()?;
-        self.wal = wal;
+        self.rotate_log()?;
         loco_faults::crashpoint("checkpoint_post_truncate");
         self.stats.wal_records = 0;
         // The fsync'd snapshot covers every appended record, so any
@@ -503,6 +649,36 @@ impl<S: KvStore> DurableStore<S> {
             last_seq = last_seq,
             bytes = env.len() as u64,
             checkpoints = self.stats.checkpoints);
+        Ok(())
+    }
+
+    /// Replace the log with a bare header. Its zero tail comes back
+    /// with the first group written after the rotation.
+    fn rotate_log(&mut self) -> std::io::Result<()> {
+        let wal = File::create(wal_path(&self.dir))?;
+        wal.write_all_at(&WAL_HEADER, 0)?;
+        self.wal = Arc::new(wal);
+        self.wal_pos = WAL_HEADER_LEN as u64;
+        self.wal_len = self.wal_pos;
+        Ok(())
+    }
+
+    /// Write `bytes` at the log's write position. Under
+    /// [`SyncPolicy::EveryRecord`], a write that would cross the end of
+    /// the zero-filled tail first extends it with written zeros: a
+    /// hole or unwritten extent (`set_len`, `fallocate`) would still
+    /// change metadata on its first write.
+    fn wal_write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        let end = self.wal_pos + bytes.len() as u64;
+        if self.policy == SyncPolicy::EveryRecord {
+            while self.wal_len < end {
+                self.wal.write_all_at(&ZEROS, self.wal_len)?;
+                self.wal_len += WAL_RESERVE as u64;
+            }
+        }
+        self.wal.write_all_at(bytes, self.wal_pos)?;
+        self.wal_pos = end;
+        self.wal_len = self.wal_len.max(end);
         Ok(())
     }
 
@@ -537,9 +713,9 @@ impl<S: KvStore> DurableStore<S> {
     }
 
     /// Seal the open group (commit flag on its last record, crc per
-    /// record), write it as one contiguous append, flush, and fsync
-    /// per policy. A write/fsync failure here aborts the process: the
-    /// caller is about to acknowledge these mutations.
+    /// record), write it as one contiguous run at the write position,
+    /// and fsync per policy. A write/fsync failure here aborts the
+    /// process: the caller is about to acknowledge these mutations.
     fn commit_group(&mut self) {
         let mut records = std::mem::take(&mut self.txn_buf);
         if records.is_empty() {
@@ -557,17 +733,15 @@ impl<S: KvStore> DurableStore<S> {
             group.extend_from_slice(&rec);
         }
         if let Some(tl) = loco_faults::torn_len("wal_commit", group.len()) {
-            let _ = self.wal.write_all(&group[..tl]);
-            let _ = self.wal.flush();
+            let _ = self.wal_write(&group[..tl]);
             loco_faults::die("wal_commit", "torn wal group write");
         }
         if let Some(e) = loco_faults::io_error("wal_write") {
             wal_fatal("write", e);
         }
-        // Always push the group through to the OS: a BufWriter-only
-        // record dies with the process on kill -9, and the daemon acks
-        // as soon as this returns.
-        if let Err(e) = self.wal.write_all(&group).and_then(|()| self.wal.flush()) {
+        // Unbuffered: the group is in the OS page cache when this
+        // returns, so it survives kill -9 even before its fsync.
+        if let Err(e) = self.wal_write(&group) {
             wal_fatal("write", e);
         }
         loco_faults::crashpoint("wal_after_append");
@@ -585,7 +759,7 @@ impl<S: KvStore> DurableStore<S> {
                 if let Some(e) = loco_faults::io_error("wal_fsync") {
                     wal_fatal("fsync", e);
                 }
-                if let Err(e) = self.wal.get_ref().sync_data() {
+                if let Err(e) = self.wal.sync_data() {
                     wal_fatal("fsync", e);
                 }
                 self.stats.wal_fsyncs += 1;
@@ -594,20 +768,19 @@ impl<S: KvStore> DurableStore<S> {
         }
         self.stats.wal_records += n;
         if self.stats.wal_records as usize >= self.checkpoint_every && self.txn_depth == 0 {
-            // Abort (not panic) on failure: unwinding would flush the
-            // BufWriter and run destructors, which is not what a crash
-            // does — and a store that cannot checkpoint must not keep
-            // acknowledging writes against an unbounded WAL.
+            // Abort (not panic) on failure: unwinding would run
+            // destructors, which is not what a crash does — and a store
+            // that cannot checkpoint must not keep acknowledging writes
+            // against an unbounded WAL.
             if let Err(e) = self.checkpoint() {
                 wal_fatal("checkpoint", e);
             }
         }
     }
 
-    /// Flush buffered WAL records to the OS (and disk).
+    /// Fsync the WAL.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        self.wal.flush()?;
-        self.wal.get_ref().sync_data()?;
+        self.wal.sync_data()?;
         self.unsynced_records = 0;
         self.stats.wal_fsyncs += 1;
         Ok(())
@@ -652,11 +825,7 @@ impl<S: KvStore> DurableStore<S> {
         if let Some(e) = loco_faults::io_error("wal_fsync") {
             wal_fatal("fsync", e);
         }
-        if let Err(e) = self
-            .wal
-            .flush()
-            .and_then(|()| self.wal.get_ref().sync_data())
-        {
+        if let Err(e) = self.wal.sync_data() {
             wal_fatal("fsync", e);
         }
         self.unsynced_records = 0;
@@ -665,26 +834,18 @@ impl<S: KvStore> DurableStore<S> {
     }
 
     /// Stage [`DurableStore::commit_flush`] so the fsync itself can run
-    /// without the store lock: flush the buffered WAL bytes to the OS
-    /// now (so the returned handle sees every covered byte), zero the
-    /// deferred counter, and hand back the fsync as a closure over a
-    /// cloned file handle. Concurrent appends during the out-of-lock
-    /// fsync are safe — they only *add* bytes past the ones this batch
-    /// covers, and their own tickets hold their acks for the next
-    /// batch. Falls back to the inline flush (returning `None`) if the
-    /// handle cannot be cloned.
+    /// without the store lock: zero the deferred counter and hand back
+    /// the fsync as a closure over a shared handle to the log (every
+    /// covered byte is already in the OS page cache). Concurrent
+    /// writes during the out-of-lock fsync are safe — they only *add*
+    /// bytes past the ones this batch covers, and their own tickets
+    /// hold their acks for the next batch.
     pub fn commit_flush_begin(&mut self) -> Option<(u64, Box<dyn FnOnce() + Send>)> {
         let n = self.unsynced_records;
         if n == 0 {
             return None;
         }
-        if let Err(e) = self.wal.flush() {
-            wal_fatal("fsync", e);
-        }
-        let Ok(wal) = self.wal.get_ref().try_clone() else {
-            self.commit_flush();
-            return None;
-        };
+        let wal = Arc::clone(&self.wal);
         self.unsynced_records = 0;
         self.stats.wal_fsyncs += 1;
         Some((
@@ -767,9 +928,9 @@ impl<S: KvStore> DurableStore<S> {
             ));
         }
         let n = recs.len() as u64;
-        // Verbatim append: the standby's WAL stays byte-identical to
+        // Verbatim write: the standby's WAL stays byte-identical to
         // the primary's for the replicated range.
-        if let Err(e) = self.wal.write_all(group).and_then(|()| self.wal.flush()) {
+        if let Err(e) = self.wal_write(group) {
             wal_fatal("write", e);
         }
         if self.policy == SyncPolicy::EveryRecord {
@@ -781,7 +942,7 @@ impl<S: KvStore> DurableStore<S> {
                 self.unsynced_records += n;
                 self.sync_ticket = Some(last_seq);
             } else {
-                if let Err(e) = self.wal.get_ref().sync_data() {
+                if let Err(e) = self.wal.sync_data() {
                     wal_fatal("fsync", e);
                 }
                 self.stats.wal_fsyncs += 1;
@@ -833,12 +994,7 @@ impl<S: KvStore> DurableStore<S> {
         let _ = self.inner.take_cost();
         // Rotate the WAL only after the snapshot is durable (same
         // ordering argument as `checkpoint`).
-        let mut wal =
-            BufWriter::new(File::create(wal_path(&self.dir)).map_err(|e| io("rotate", e))?);
-        wal.write_all(WAL_MAGIC).map_err(|e| io("rotate", e))?;
-        wal.write_all(&[WAL_VERSION]).map_err(|e| io("rotate", e))?;
-        wal.flush().map_err(|e| io("rotate", e))?;
-        self.wal = wal;
+        self.rotate_log().map_err(|e| io("rotate", e))?;
         self.next_seq = snap_seq + 1;
         self.txn_buf.clear();
         self.sync_ticket = None;
@@ -1517,6 +1673,184 @@ mod tests {
         assert!(plain.repl_apply_group(b"x").is_err());
         assert!(plain.repl_snapshot_image().is_none());
         assert!(plain.repl_install_snapshot(b"x").is_err());
+    }
+
+    fn wal_len(dir: &Path) -> u64 {
+        std::fs::metadata(wal_path(dir)).unwrap().len()
+    }
+
+    fn discarded_files(dir: &Path) -> Vec<PathBuf> {
+        let mut v: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with("wal.discarded.")
+            })
+            .collect();
+        v.sort();
+        v
+    }
+
+    /// The `sealed_seqs` field of the warning `open` logged about the
+    /// side file at `file`.
+    fn discard_warning(file: &Path) -> Option<String> {
+        let str_field = |ev: &loco_log::Event, key: &str| {
+            ev.fields.iter().find_map(|(k, v)| match v {
+                loco_log::Value::Str(s) if *k == key => Some(s.clone()),
+                _ => None,
+            })
+        };
+        let file = file.display().to_string();
+        loco_log::tail(0, usize::MAX)
+            .events
+            .iter()
+            .filter(|ev| ev.target == "wal.recovery")
+            .find(|ev| str_field(ev, "file").as_deref() == Some(file.as_str()))
+            .and_then(|ev| str_field(ev, "sealed_seqs"))
+    }
+
+    fn sorted(db: &mut dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut d = db.scan_prefix(b"");
+        d.sort();
+        d
+    }
+
+    #[test]
+    fn every_record_log_is_overwritten_in_place_over_a_zero_tail() {
+        let scratch = Scratch::new();
+        {
+            let mut db = fresh(&scratch.0).with_sync_policy(SyncPolicy::EveryRecord);
+            assert_eq!(wal_len(&scratch.0), 5, "no reserve before the first group");
+            for i in 0..300u32 {
+                db.put(&i.to_be_bytes(), b"value");
+            }
+            assert_eq!(wal_len(&scratch.0), 5 + WAL_RESERVE as u64);
+            assert!(
+                db.wal_pos < db.wal_len,
+                "the records sit inside the reserve"
+            );
+        }
+        let mut db = fresh(&scratch.0);
+        assert_eq!(db.len(), 300);
+        assert_eq!(db.get(&7u32.to_be_bytes()).as_deref(), Some(&b"value"[..]));
+        assert_eq!(db.stats().discarded_bytes, 0);
+        assert!(
+            discarded_files(&scratch.0).is_empty(),
+            "a zero tail is not kept"
+        );
+        // Reopening cut the log back to its sealed groups.
+        assert_eq!(wal_len(&scratch.0), db.wal_pos);
+
+        // An os-managed log keeps appending: its length is exactly the
+        // header plus the logged bytes.
+        let os = Scratch::new();
+        let mut db = fresh(&os.0);
+        let mut logged = WAL_HEADER_LEN as u64;
+        for i in 0..300u32 {
+            db.put(&i.to_be_bytes(), b"value");
+            logged += encode_v2(1, FLAG_COMMIT, OP_PUT, &i.to_be_bytes(), &[b"value"]).len() as u64;
+        }
+        assert_eq!(wal_len(&os.0), logged);
+    }
+
+    #[test]
+    fn a_shorter_group_over_a_torn_one_leaves_no_phantom() {
+        let scratch = Scratch::new();
+        let mut model = BTreeDb::new(KvConfig::default());
+        {
+            let mut db = fresh(&scratch.0).with_sync_policy(SyncPolicy::EveryRecord);
+            for (k, v) in [(&b"a"[..], &b"1"[..]), (b"b", b"2")] {
+                db.put(k, v);
+                model.put(k, v);
+            }
+            // Third group: three long records, torn inside the last.
+            let start = db.wal_pos;
+            db.txn_begin();
+            for k in [&b"x"[..], b"y", b"z"] {
+                db.put(k, &[0x5A; 200]);
+            }
+            db.txn_commit();
+            let torn_at = start + (db.wal_pos - start) * 5 / 6;
+            let zeros = vec![0u8; (db.wal_pos - torn_at) as usize];
+            db.wal.write_all_at(&zeros, torn_at).unwrap();
+        }
+        {
+            let mut db = fresh(&scratch.0).with_sync_policy(SyncPolicy::EveryRecord);
+            assert_eq!(sorted(&mut db), sorted(&mut model), "torn group dropped");
+            db.put(b"c", b"3");
+            model.put(b"c", b"3");
+        }
+        let mut db = fresh(&scratch.0);
+        assert_eq!(sorted(&mut db), sorted(&mut model), "no phantom record");
+        assert_eq!(db.next_seq(), 4);
+    }
+
+    #[test]
+    fn checkpoint_leaves_a_bare_header_until_the_next_group() {
+        let scratch = Scratch::new();
+        let mut db = fresh(&scratch.0).with_sync_policy(SyncPolicy::EveryRecord);
+        db.put(b"k", b"v");
+        assert_eq!(wal_len(&scratch.0), 5 + WAL_RESERVE as u64);
+        db.checkpoint().unwrap();
+        assert_eq!(wal_len(&scratch.0), 5);
+        db.put(b"k2", b"v");
+        assert_eq!(wal_len(&scratch.0), 5 + WAL_RESERVE as u64);
+        drop(db);
+        assert_eq!(fresh(&scratch.0).len(), 2);
+    }
+
+    #[test]
+    fn recovery_moves_skipped_bytes_aside_and_names_the_sealed_seqs() {
+        // The warning is read back from the log ring (`LOCO_LOG` may
+        // have switched it off).
+        if !loco_log::enabled(loco_log::Level::Warn) {
+            loco_log::set_level(Some(loco_log::Level::Warn));
+        }
+        let scratch = Scratch::new();
+        {
+            let mut db = fresh(&scratch.0);
+            for i in 1..=50u32 {
+                db.put(&i.to_be_bytes(), b"value");
+            }
+        }
+        let rec_len = encode_v2(1, FLAG_COMMIT, OP_PUT, &1u32.to_be_bytes(), &[b"value"]).len();
+        let p = wal_path(&scratch.0);
+        let mut bytes = std::fs::read(&p).unwrap();
+        assert_eq!(bytes.len(), WAL_HEADER_LEN + 50 * rec_len);
+        // One bit in the middle of record 5.
+        let rec5 = WAL_HEADER_LEN + 4 * rec_len;
+        bytes[rec5 + rec_len / 2] ^= 0x04;
+        std::fs::write(&p, &bytes).unwrap();
+
+        let db = fresh(&scratch.0);
+        assert_eq!(db.len(), 4, "the prefix contract stays");
+        assert_eq!(std::fs::read(&p).unwrap(), &bytes[..rec5], "log truncated");
+        let aside = discarded_files(&scratch.0);
+        assert_eq!(aside.len(), 1);
+        assert_eq!(
+            std::fs::read(&aside[0]).unwrap(),
+            &bytes[rec5..],
+            "the side file holds exactly the skipped bytes"
+        );
+        assert_eq!(db.stats().discarded_bytes, (bytes.len() - rec5) as u64);
+        assert_eq!(db.stats().discarded_records, 45);
+        assert_eq!(discard_warning(&aside[0]).as_deref(), Some("6-50"));
+        drop(db);
+
+        // A second damaged open keeps the first side file.
+        let mut tail = std::fs::read(&p).unwrap();
+        tail.extend_from_slice(&[0xEE; 7]);
+        std::fs::write(&p, &tail).unwrap();
+        let db = fresh(&scratch.0);
+        assert_eq!(db.len(), 4);
+        let aside2 = discarded_files(&scratch.0);
+        assert_eq!(aside2.len(), 2);
+        assert_eq!(std::fs::read(&aside[0]).unwrap(), &bytes[rec5..]);
+        assert_eq!(std::fs::read(&aside2[1]).unwrap(), [0xEE; 7]);
+        assert_eq!(discard_warning(&aside2[1]).as_deref(), Some(""));
     }
 
     #[test]

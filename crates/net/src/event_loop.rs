@@ -377,6 +377,9 @@ struct Worker<S: Service> {
     /// — the "per-worker inflight" the `--max-inflight` admission
     /// watermark measures.
     parked_total: usize,
+    /// `read(2)` target, allocated once when the worker is spawned
+    /// rather than zeroed afresh on the stack for every readiness event.
+    read_chunk: Box<[u8]>,
 }
 
 impl<S> Worker<S>
@@ -533,7 +536,6 @@ where
     /// stop (then the socket is deliberately left unread).
     fn pump_read(&mut self, slot: usize) {
         let mut parsed = 0u64;
-        let mut chunk = [0u8; READ_CHUNK];
         'outer: loop {
             loop {
                 if self.conns[slot].is_none() || self.admission_blocked(slot) {
@@ -573,7 +575,7 @@ where
             if conn.peer_closed {
                 break;
             }
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(&mut self.read_chunk) {
                 Ok(0) => {
                     conn.peer_closed = true;
                     break;
@@ -585,7 +587,7 @@ where
                         // arrival for the deadline-budget check.
                         conn.buf_stamp = Instant::now();
                     }
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
+                    conn.read_buf.extend_from_slice(&self.read_chunk[..n]);
                 }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
@@ -1074,6 +1076,7 @@ pub(crate) fn run<S>(
             draining: false,
             guard,
             parked_total: 0,
+            read_chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
         };
         if let Ok(h) = std::thread::Builder::new()
             .name(format!("locod-worker-{i}"))

@@ -90,6 +90,25 @@ pub trait Wire: Sized {
     /// consumed bytes.
     fn get(buf: &mut &[u8]) -> WireResult<Self>;
 
+    /// Append the elements of a sequence (its count is already
+    /// written). The default encodes them one by one; a type whose
+    /// encoding is its memory image (`u8`) copies the slice at once.
+    fn put_seq(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.put(out);
+        }
+    }
+
+    /// Decode `count` elements of a sequence. The caller has already
+    /// checked `count` against the bytes remaining.
+    fn get_seq(count: usize, buf: &mut &[u8]) -> WireResult<Vec<Self>> {
+        let mut v = Vec::with_capacity(count);
+        for _ in 0..count {
+            v.push(Self::get(buf)?);
+        }
+        Ok(v)
+    }
+
     /// Encode into a fresh buffer.
     fn to_wire(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -142,7 +161,25 @@ macro_rules! int_wire {
     )*};
 }
 
-int_wire!(u8, u16, u32, u64, i64);
+int_wire!(u16, u32, u64, i64);
+
+// Byte payloads (block data, WAL groups, snapshot images) are the one
+// sequence whose encoding is its memory image: one copy each way, the
+// same bytes as the per-element loop.
+impl Wire for u8 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        Ok(take(buf, 1)?[0])
+    }
+    fn put_seq(items: &[Self], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    fn get_seq(count: usize, buf: &mut &[u8]) -> WireResult<Vec<Self>> {
+        Ok(take(buf, count)?.to_vec())
+    }
+}
 
 impl Wire for bool {
     fn put(&self, out: &mut Vec<u8>) {
@@ -203,17 +240,11 @@ macro_rules! seq_get {
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, out: &mut Vec<u8>) {
         (self.len() as u32).put(out);
-        for item in self {
-            item.put(out);
-        }
+        T::put_seq(self, out);
     }
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         let count = seq_get!(buf, "sequence");
-        let mut v = Vec::with_capacity(count);
-        for _ in 0..count {
-            v.push(T::get(buf)?);
-        }
-        Ok(v)
+        T::get_seq(count, buf)
     }
 }
 

@@ -662,6 +662,13 @@ fn role_store(
         stats.replayed_records,
         a.sync_policy.as_str(),
     );
+    if stats.discarded_bytes > 0 {
+        println!(
+            "locod: {} #{} moved {} unreplayable wal bytes ({} records of sealed groups) \
+             aside to a wal.discarded file",
+            a.role, a.index, stats.discarded_bytes, stats.discarded_records,
+        );
+    }
     Ok(store)
 }
 

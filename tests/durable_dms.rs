@@ -56,8 +56,8 @@ fn namespace_survives_crash_and_reopen() {
             ts: 2,
         });
         // "Crash": drop without any explicit checkpoint or sync — the
-        // OsManaged policy still leaves records in the OS cache, but
-        // the BufWriter flushes on drop via the File close; to be
+        // OsManaged policy still leaves records in the OS cache, since
+        // each commit group is written to the OS unbuffered; to be
         // strict we only rely on what a reopen actually finds.
     }
     let mut dms = open_dms(&scratch.0);

@@ -398,7 +398,17 @@ fn oversized_length_fields_error_without_allocating() {
     let mut evil = Vec::new();
     evil.extend_from_slice(&u32::MAX.to_le_bytes());
     evil.extend_from_slice(&[0u8; 6]);
-    assert!(Vec::<u8>::from_wire(&evil).is_err());
+    assert!(matches!(
+        Vec::<u8>::from_wire(&evil),
+        Err(WireError::Oversized { .. })
+    ));
+    // One byte more than remains is refused the same way.
+    let mut short = 7u32.to_le_bytes().to_vec();
+    short.extend_from_slice(&[1u8; 6]);
+    assert!(matches!(
+        Vec::<u8>::from_wire(&short),
+        Err(WireError::Oversized { len: 7, .. })
+    ));
 
     // Same via a request wrapper: WriteBlock's data length lies.
     let mut bytes = OstoreRequest::WriteBlock {
@@ -410,7 +420,10 @@ fn oversized_length_fields_error_without_allocating() {
     // data length field sits after tag(1) + uuid(8) + blk(8).
     let len_off = 1 + 8 + 8;
     bytes[len_off..len_off + 4].copy_from_slice(&(u32::MAX).to_le_bytes());
-    assert!(OstoreRequest::from_wire(&bytes).is_err());
+    assert!(matches!(
+        OstoreRequest::from_wire(&bytes),
+        Err(WireError::Oversized { .. })
+    ));
 
     // A String claiming 64 MiB + 1 is over MAX_WIRE_LEN even if the
     // buffer were big enough.
@@ -418,6 +431,48 @@ fn oversized_length_fields_error_without_allocating() {
     huge.extend_from_slice(&((locofs::types::MAX_WIRE_LEN as u32) + 1).to_le_bytes());
     huge.extend_from_slice(b"abc");
     assert!(String::from_wire(&huge).is_err());
+}
+
+/// Byte payloads (block data, WAL groups, snapshot images) are copied
+/// as one slice. These encodings were captured from the per-element
+/// encoder that preceded the slice copy, so the wire format is pinned
+/// rather than assumed.
+#[test]
+fn byte_payloads_encode_to_golden_bytes() {
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+    fn check<T: Wire + PartialEq + std::fmt::Debug>(v: T, golden: &str) {
+        let golden = unhex(golden);
+        assert_eq!(v.to_wire(), golden, "{v:?}");
+        assert_eq!(T::from_wire(&golden).unwrap(), v);
+    }
+    let data: Vec<u8> = (0..24u32).map(|i| (i * 37 + 5) as u8).collect();
+    check(
+        OstoreRequest::WriteBlock {
+            uuid: Uuid::from_raw(0x0102_0304_0506_0708),
+            blk: 3,
+            data: data.clone(),
+        },
+        "00080706050403020103000000000000001800000005\
+         2a4f7499bee3082d52779cc1e60b30557a9fc4e90e3358",
+    );
+    check(
+        OstoreResponse::Block(Ok(data[..13].to_vec())),
+        "01000d000000052a4f7499bee3082d52779cc1",
+    );
+    check(
+        DmsRequest::ReplAppend {
+            epoch: 2,
+            first_seq: 17,
+            group: data[5..21].to_vec(),
+        },
+        "0c0200000000000000110000000000000010000000\
+         bee3082d52779cc1e60b30557a9fc4e9",
+    );
 }
 
 #[test]
