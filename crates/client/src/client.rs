@@ -1258,12 +1258,13 @@ impl LocoClient {
                     other => unreachable!("{other:?}"),
                 };
                 let blk_start = blk * bs;
-                let lo = offset.max(blk_start);
-                let hi = end.min(blk_start + bs);
-                for i in lo..hi {
-                    let off_in_blk = (i - blk_start) as usize;
-                    out.push(block.get(off_in_blk).copied().unwrap_or(0));
-                }
+                let lo = (offset.max(blk_start) - blk_start) as usize;
+                let hi = (end.min(blk_start + bs) - blk_start) as usize;
+                // A block may be stored short (or not at all): the bytes
+                // it does not hold read as zeros.
+                let stored = &block[lo.min(block.len())..hi.min(block.len())];
+                out.extend_from_slice(stored);
+                out.resize(out.len() + (hi - lo - stored.len()), 0);
             }
             Ok(out)
         })();
@@ -1486,6 +1487,27 @@ mod tests {
         assert_eq!(&back[40..], &data[40..]);
         // Read past EOF is short.
         assert_eq!(c.read(&h, 90, 50).unwrap().len(), 10);
+    }
+
+    #[test]
+    fn short_and_missing_blocks_read_back_as_zeros() {
+        let mut cfg = LocoConfig::with_servers(2);
+        cfg.block_size = 16;
+        let cl = LocoCluster::new(cfg);
+        let mut c = cl.client();
+        c.mkdir("/d", 0o755).unwrap();
+        let mut h = c.create("/d/f", 0o644).unwrap();
+        // Block 0 is stored 4 bytes long, block 1 is never written, and
+        // block 2 holds 8 zeros then "wxyz".
+        c.write(&mut h, 0, b"abcd").unwrap();
+        c.write(&mut h, 40, b"wxyz").unwrap();
+        let mut want = b"abcd".to_vec();
+        want.resize(40, 0);
+        want.extend_from_slice(b"wxyz");
+        assert_eq!(c.read(&h, 0, 44).unwrap(), want);
+        // Ranges that start or end inside the short block.
+        assert_eq!(c.read(&h, 2, 4).unwrap(), b"cd\0\0");
+        assert_eq!(c.read(&h, 30, 14).unwrap(), &want[30..]);
     }
 
     #[test]

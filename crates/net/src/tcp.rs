@@ -14,6 +14,11 @@
 //!   call's `req_id`. Only a complete exchange returns the connection
 //!   to the pool, so the pool holds at most the peak number of
 //!   concurrent calls, and a late reply can never reach a later call.
+//!   A caller gets back the connection it returned last; only when it
+//!   has none idle does it take another caller's. The server pins each
+//!   connection to one worker thread for its whole life, so this keeps
+//!   a client thread talking to the same worker instead of waking a
+//!   different one whenever callers interleave.
 //! * **Deadlines.** Every attempt waits at most
 //!   [`RetryPolicy::deadline`] for its *whole* reply: each `read(2)` is
 //!   bounded by the time left, so a server that trickles bytes cannot
@@ -60,7 +65,7 @@ use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -363,9 +368,11 @@ pub struct TcpEndpoint<S: Service> {
     addr: Arc<str>,
     id: ServerId,
     policy: RetryPolicy,
-    /// Idle connections, each between two complete exchanges. It never
-    /// holds more than the peak number of concurrent calls.
-    idle: Arc<Mutex<Vec<Conn>>>,
+    /// Idle connections, each between two complete exchanges, tagged
+    /// with the thread that completed that exchange; the most recently
+    /// returned is last. It never holds more than the peak number of
+    /// concurrent calls.
+    idle: Arc<Mutex<Vec<(ThreadId, Conn)>>>,
     next_req: Arc<AtomicU64>,
     metrics: Option<Arc<EndpointMetrics>>,
     guard: Arc<GuardState>,
@@ -518,18 +525,30 @@ impl<S: Service> TcpEndpoint<S> {
     }
 
     /// One send/receive attempt, no retries: send `req_bytes` on an idle
-    /// connection (or a new one) and read its reply on this thread, all
-    /// of it within `wait` (the per-attempt deadline, already clipped to
-    /// the op's remaining budget). The connection returns to the idle
-    /// list only after a complete exchange — a response, fenced or not,
-    /// or a guard reject. Any other outcome drops it, so a late reply
-    /// can never reach a later call.
+    /// connection (or a new one, only when none is idle) and read its
+    /// reply on this thread, all of it within `wait` (the per-attempt
+    /// deadline, already clipped to the op's remaining budget). The
+    /// connection returns to the idle list, tagged with this thread,
+    /// only after a complete exchange — a response, fenced or not, or a
+    /// guard reject. Any other outcome drops it, so a late reply can
+    /// never reach a later call.
     fn attempt(&self, req_bytes: &[u8], wait: Duration) -> Result<RpcResponse<S::Resp>, RpcError>
     where
         S::Resp: Wire,
     {
         let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let mut idle = lock(&self.idle).pop();
+        let me = std::thread::current().id();
+        let mut idle = {
+            let mut idle = lock(&self.idle);
+            // The connection this thread returned last, else the one any
+            // thread returned last (so it never dials while one is idle):
+            // the server pins each connection to one worker, so a caller
+            // that gets its own back keeps talking to the same worker.
+            match idle.iter().rposition(|(owner, _)| *owner == me) {
+                Some(i) => Some(idle.remove(i).1),
+                None => idle.pop().map(|(_, conn)| conn),
+            }
+        };
         let (conn, frame) = loop {
             let (mut conn, reused) = match idle.take() {
                 Some(conn) => (conn, true),
@@ -579,7 +598,7 @@ impl<S: Service> TcpEndpoint<S> {
             result,
             Ok(_) | Err(RpcError::Overloaded | RpcError::Expired | RpcError::FencedEpoch { .. })
         ) {
-            lock(&self.idle).push(conn);
+            lock(&self.idle).push((me, conn));
         }
         result
     }

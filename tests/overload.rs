@@ -10,7 +10,9 @@
 //!   a brownout (driven through the chaos proxy);
 //! * the per-address circuit breaker trips to fail-fast after repeated
 //!   exhaustion and recovers through a half-open probe once the
-//!   partition heals.
+//!   partition heals;
+//! * a request's budget runs from the first byte of its frame, so a
+//!   frame that arrives slowly expires unexecuted.
 
 use locofs::dms::{DirServer, DmsRequest, DmsResponse};
 use locofs::faults::ChaosProxy;
@@ -22,6 +24,7 @@ use locofs::net::{
 };
 use locofs::obs::MetricsRegistry;
 use locofs::types::wire::Wire;
+use locofs::types::FsError;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -548,5 +551,74 @@ fn breaker_trips_fails_fast_and_half_open_recovers() {
     }
     assert_eq!(ep.breaker_trips(), 1, "breaker re-tripped after recovery");
     proxy.shutdown();
+    guard.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// 6. A budget runs from the frame's first byte
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_frame_that_arrives_slower_than_its_budget_expires_unexecuted() {
+    let id = ServerId::new(class::DMS, 0);
+    let registry = Arc::new(MetricsRegistry::new());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut guard = serve_tcp(
+        id,
+        DirServer::with_sid(locofs::dms::DmsBackend::BTree, KvConfig::default(), 0),
+        listener,
+        ServeOptions {
+            metrics: Some(EndpointMetrics::register(&registry, id)),
+            registry: Some(Arc::clone(&registry)),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = guard.addr().to_string();
+
+    // A 5 ms budget, and a frame written 4 bytes every 2 ms: no gap
+    // outlasts the budget, but the whole frame does, many times over.
+    // The long path stretches the frame to ~80 ms, so a worker that
+    // wakes late still stamps its first bytes long before the last.
+    let path = format!("/{}", "slow".repeat(25));
+    let payload = RpcRequest {
+        budget_ms: 5,
+        trace: None,
+        body: DmsRequest::Mkdir {
+            path: path.clone(),
+            mode: 0o755,
+            uid: 0,
+            gid: 0,
+            ts: 1,
+        },
+    }
+    .to_wire();
+    let frame = encode_frame(FrameKind::Request, 1, &payload);
+    let mut sock = TcpStream::connect(&addr).unwrap();
+    sock.set_nodelay(true).unwrap();
+    for piece in frame.chunks(4) {
+        sock.write_all(piece).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let reply = locofs::net::frame::read_frame(&mut sock)
+        .unwrap()
+        .expect("reply frame");
+    assert_eq!(reply.kind, FrameKind::Error, "want an expiry reject");
+    assert_eq!(reply.payload, vec![locofs::net::REJECT_EXPIRED]);
+    assert_eq!(expired_count(&registry), 1);
+
+    // The mkdir was never applied.
+    let ep = TcpEndpoint::<DirServer>::with_policy(id, &addr, plain_policy());
+    let stat = DmsRequest::StatDir {
+        path,
+        uid: 0,
+        gid: 0,
+    };
+    let r = ep.try_call(&mut CallCtx::new(), stat).unwrap();
+    assert!(
+        matches!(r, DmsResponse::Dir(Err(FsError::NotFound))),
+        "expired mkdir was applied anyway: {r:?}"
+    );
     guard.shutdown();
 }

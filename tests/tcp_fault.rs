@@ -622,3 +622,127 @@ fn concurrent_callers_get_their_own_answers_on_at_most_one_connection_each() {
     let open = registry.gauge("loco_srv_open_conns", ECHO).get();
     assert!((1..=8).contains(&open), "{open} connections for 8 callers");
 }
+
+#[test]
+fn each_caller_gets_back_the_connection_it_used_last() {
+    use locofs::net::RpcRequest;
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Mutex};
+
+    // A raw server that records which accepted connection carried each
+    // request value, and echoes the value back.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let carried = Mutex::new(Vec::<Vec<u64>>::new());
+    let firsts = AtomicUsize::new(0);
+    let serve = |conn: usize, mut s: TcpStream| {
+        let mut first = true;
+        while let Ok(Some(req)) = read_frame(&mut s) {
+            let value = RpcRequest::<u64>::from_wire(&req.payload).unwrap().body;
+            carried.lock().unwrap()[conn].push(value);
+            if std::mem::take(&mut first) {
+                // Hold each connection's first reply until two requests
+                // are in, so the second caller must dial its own.
+                firsts.fetch_add(1, Ordering::SeqCst);
+                let t0 = Instant::now();
+                while firsts.load(Ordering::SeqCst) < 2 && t0.elapsed() < Duration::from_secs(5) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            let body = RpcResponse::<u64> {
+                cost: 0,
+                span: None,
+                repl: None,
+                body: value,
+            }
+            .to_wire();
+            let reply = encode_frame(FrameKind::Response, req.req_id, &body);
+            if std::io::Write::write_all(&mut s, &reply).is_err() {
+                return;
+            }
+        }
+    };
+
+    std::thread::scope(|scope| {
+        let serve = &serve;
+        let carried = &carried;
+        scope.spawn(move || {
+            listener.set_nonblocking(true).unwrap();
+            let t0 = Instant::now();
+            while carried.lock().unwrap().len() < 2 && t0.elapsed() < Duration::from_secs(5) {
+                match listener.accept() {
+                    Ok((s, _)) => {
+                        s.set_nonblocking(false).unwrap();
+                        let conn = {
+                            let mut carried = carried.lock().unwrap();
+                            carried.push(Vec::new());
+                            carried.len() - 1
+                        };
+                        scope.spawn(move || serve(conn, s));
+                    }
+                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                }
+            }
+        });
+
+        let ep =
+            TcpEndpoint::<Echo>::with_policy(ServerId::new(class::FMS, 0), &addr, fast_policy());
+        // Two callers make one call together, then pass a turn token back
+        // and forth for 20 calls each in strict alternation, caller 1
+        // first.
+        let (to_1, turn_1) = mpsc::channel::<()>();
+        let (to_2, turn_2) = mpsc::channel::<()>();
+        to_1.send(()).unwrap();
+        let callers: Vec<_> = [(1u64, turn_1, to_2), (2, turn_2, to_1)]
+            .into_iter()
+            .map(|(t, my_turn, next)| {
+                let ep = ep.clone();
+                scope.spawn(move || {
+                    let mut ctx = CallCtx::new();
+                    let base = t * 1000;
+                    assert_eq!(ep.call(&mut ctx, base), base);
+                    for i in 1..=20 {
+                        my_turn.recv().unwrap();
+                        assert_eq!(ep.call(&mut ctx, base + i), base + i);
+                        let _ = next.send(());
+                    }
+                })
+            })
+            .collect();
+        for c in callers {
+            c.join().unwrap();
+        }
+        // Closing the pool ends the server's connection threads.
+        drop(ep);
+    });
+
+    let carried = carried.into_inner().unwrap();
+    assert_eq!(carried.len(), 2, "two concurrent callers, two connections");
+    for (conn, values) in carried.iter().enumerate() {
+        let callers: std::collections::BTreeSet<u64> = values.iter().map(|v| v / 1000).collect();
+        assert_eq!(
+            callers.len(),
+            1,
+            "connection {conn} carried calls of callers {callers:?}: {values:?}"
+        );
+    }
+}
+
+#[test]
+fn a_new_caller_takes_an_idle_connection_instead_of_dialing() {
+    let (_guard, ep, registry) = serve_echo(fast_policy());
+    for t in 1..=2u64 {
+        let ep = ep.clone();
+        std::thread::spawn(move || {
+            let mut ctx = CallCtx::new();
+            for i in 0..20 {
+                assert_eq!(ep.call(&mut ctx, t * 1000 + i), t * 1000 + i);
+            }
+        })
+        .join()
+        .unwrap();
+    }
+    // The second caller found only the first caller's connection idle.
+    assert_eq!(registry.gauge("loco_srv_open_conns", ECHO).get(), 1);
+}
