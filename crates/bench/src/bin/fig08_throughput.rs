@@ -15,9 +15,8 @@
 //!
 //! `--clients N` overrides the paper's Table 3 client counts;
 //! `--pipeline D` models D outstanding requests per client (closed-loop
-//! equivalent: N x D concurrent streams). For wall-clock wire numbers
-//! with the same flags, see `examples/metadata_bench.rs`, which writes
-//! `BENCH_fig08_tcp_pipelined.json`.
+//! equivalent: N x D concurrent streams). Wall-clock numbers of the
+//! real stack come from `wallbench/`, not from this binary.
 //!
 //! `--overload` runs the loco-guard overload arm instead: a wall-clock
 //! goodput comparison at 4x the measured capacity concurrency, guard on
@@ -110,9 +109,6 @@ mod overload {
         }
         fn take_commit_ticket(&mut self) -> Option<u64> {
             self.0.take_commit_ticket()
-        }
-        fn commit_flush(&mut self) -> u64 {
-            self.0.commit_flush()
         }
         fn commit_flush_begin(&mut self) -> Option<(u64, CommitFsync)> {
             self.0.commit_flush_begin().map(|(n, fsync)| {

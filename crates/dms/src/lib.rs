@@ -783,10 +783,6 @@ impl Service for DirServer {
         self.db.persist_take_ticket()
     }
 
-    fn commit_flush(&mut self) -> u64 {
-        self.db.persist_commit_flush()
-    }
-
     fn commit_flush_begin(&mut self) -> Option<(u64, loco_net::CommitFsync)> {
         let staged = self.db.persist_commit_flush_begin();
         let Some(ctl) = self.repl.clone() else {

@@ -706,10 +706,6 @@ impl Service for FileServer {
         self.db.persist_take_ticket()
     }
 
-    fn commit_flush(&mut self) -> u64 {
-        self.db.persist_commit_flush()
-    }
-
     fn commit_flush_begin(&mut self) -> Option<(u64, loco_net::CommitFsync)> {
         self.db.persist_commit_flush_begin()
     }

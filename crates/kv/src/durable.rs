@@ -412,8 +412,17 @@ fn move_aside(dir: &Path, skipped: &[u8]) -> std::io::Result<PathBuf> {
     };
     f.write_all(skipped)?;
     f.sync_all()?;
-    File::open(dir)?.sync_all()?;
+    sync_dir(dir)?;
     Ok(path)
+}
+
+/// Make the entries of `dir` durable: the rename or create that
+/// precedes this call survives a power loss once it returns `Ok`.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    if let Some(e) = loco_faults::io_error("dir_sync") {
+        return Err(e);
+    }
+    File::open(dir)?.sync_all()
 }
 
 /// Apply one record [`parse_v2_record`] accepted.
@@ -630,9 +639,7 @@ impl<S: KvStore> DurableStore<S> {
         loco_faults::crashpoint("checkpoint_pre_rename");
         std::fs::rename(&tmp, snap_path(&self.dir))?;
         // Make the rename itself durable before rotating the log.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        sync_dir(&self.dir)?;
         loco_faults::crashpoint("checkpoint_post_rename");
         // Rotate the WAL only after the snapshot is durable. If we
         // crash before this point the old log replays but its seqs are
@@ -986,9 +993,7 @@ impl<S: KvStore> DurableStore<S> {
             f.sync_all().map_err(|e| io("fsync", e))?;
         }
         std::fs::rename(&tmp, snap_path(&self.dir)).map_err(|e| io("rename", e))?;
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        sync_dir(&self.dir).map_err(|e| io("dir fsync", e))?;
         let _ = self.inner.extract_prefix(b"");
         let count = crate::snapshot::load(&mut self.inner, image)?;
         let _ = self.inner.take_cost();

@@ -237,8 +237,9 @@ pub trait KvStore: Send {
     /// Switch deferred group fsync (cross-request WAL group commit) on
     /// or off; returns whether deferral is active afterwards. While
     /// active, commit groups are appended + flushed but *not* fsync'd
-    /// inline — the caller must invoke [`KvStore::persist_commit_flush`]
-    /// before acknowledging any group that took a ticket. Volatile
+    /// inline — the caller must run a staged
+    /// [`KvStore::persist_commit_flush_begin`] fsync before
+    /// acknowledging any group that took a ticket. Volatile
     /// stores (and stores whose sync policy never fsyncs per group)
     /// return `false`.
     fn persist_defer_sync(&mut self, _on: bool) -> bool {
@@ -255,6 +256,11 @@ pub trait KvStore: Send {
 
     /// Fsync every deferred commit group in one batch; returns how many
     /// WAL records the fsync covered (0 when nothing was pending).
+    /// Nothing in the workspace calls it: the servers stage their
+    /// fsyncs with [`KvStore::persist_commit_flush_begin`]. It stays
+    /// declared because the wall-clock benchmark's store decorator
+    /// overrides it, and goes when the durability hooks move behind one
+    /// handle (ROADMAP item 8(a)).
     fn persist_commit_flush(&mut self) -> u64 {
         0
     }
@@ -263,9 +269,8 @@ pub trait KvStore: Send {
     /// OS now and return `(records covered, fsync closure)`. The
     /// closure performs the actual fsync and may run *without* the
     /// store lock — but must run before any covered group is
-    /// acknowledged. `None` when nothing was pending (or the store
-    /// cannot stage; callers fall back to
-    /// [`KvStore::persist_commit_flush`]).
+    /// acknowledged. `None` when nothing was pending, or for volatile
+    /// stores.
     fn persist_commit_flush_begin(&mut self) -> Option<(u64, Box<dyn FnOnce() + Send>)> {
         None
     }

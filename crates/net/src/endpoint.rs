@@ -79,26 +79,30 @@ pub trait Service: Send {
 
     /// Switch deferred group fsync on or off; returns whether deferral
     /// is active afterwards. While active, mutation handlers append +
-    /// flush their WAL groups but leave the fsync to an explicit
-    /// [`Service::commit_flush`], and every mutating request takes a
-    /// commit ticket that the hosting server must hold the reply on
-    /// until the flush runs. Volatile services — the default — return
-    /// `false`.
+    /// flush their WAL groups but leave the fsync to a staged
+    /// [`Service::commit_flush_begin`], and every mutating request takes
+    /// a commit ticket that the hosting server must hold the reply on
+    /// until the staged fsync runs. Volatile services — the default —
+    /// return `false`.
     fn defer_sync(&mut self, _on: bool) -> bool {
         false
     }
 
     /// Take the commit ticket of the request just handled: `Some(seq)`
-    /// when its durability is still pending (reply must wait for
-    /// [`Service::commit_flush`]), `None` when the reply may leave
-    /// immediately.
+    /// when its durability is still pending (reply must wait for a
+    /// [`Service::commit_flush_begin`] stage), `None` when the reply may
+    /// leave immediately.
     fn take_commit_ticket(&mut self) -> Option<u64> {
         None
     }
 
     /// Fsync every deferred commit group in one batch; returns how
     /// many WAL records the fsync covered (0 when nothing was
-    /// pending).
+    /// pending). Nothing in the workspace calls it: durable replies
+    /// leave only through [`Service::commit_flush_begin`]. It stays
+    /// declared because the wall-clock benchmark's service decorator
+    /// overrides it, and goes when the durability hooks move behind one
+    /// handle (ROADMAP item 8(a)).
     fn commit_flush(&mut self) -> u64 {
         0
     }

@@ -23,7 +23,9 @@
 //!   parked — it never lingers on a timer for company — and only then
 //!   hands the covered reply frames back to the workers. No ack leaves
 //!   the process before its records are durable: WAL-before-ack holds,
-//!   with fsyncs/op → 1/batch.
+//!   with fsyncs/op → 1/batch. The committer is the only way out for a
+//!   durable reply, during a drain too, so a replicated primary's
+//!   quorum wait (staged with the fsync) covers every ack.
 //!
 //! Batches form on their own. The fsync runs without the service lock,
 //! so handlers keep appending and parking while it is in flight; the
@@ -71,19 +73,6 @@ const DRAIN_GRACE: Duration = Duration::from_millis(500);
 const READ_CHUNK: usize = 64 * 1024;
 /// Poller token reserved for the worker wake pipe.
 const WAKE_TOKEN: u64 = u64::MAX;
-
-/// `LOCO_GROUP_COMMIT=off|0|false|no` disables the cross-connection
-/// group committer: each durable request then fsyncs inline under the
-/// store's sync policy, one fsync per acked mutation.
-fn group_commit_enabled() -> bool {
-    match std::env::var("LOCO_GROUP_COMMIT") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "off" | "0" | "false" | "no"
-        ),
-        Err(_) => true,
-    }
-}
 
 /// `LOCO_GUARD=off|0|false|no` disables the loco-guard server-side
 /// protections (deadline expiry drops and admission-control sheds) —
@@ -159,8 +148,9 @@ struct CommitWaiter {
 #[derive(Default)]
 struct CommitState {
     waiters: Vec<CommitWaiter>,
-    /// Live (non-draining) workers. The committer exits once this hits
-    /// zero and the waiter queue is empty.
+    /// Workers that have not exited yet; a draining worker still parks.
+    /// The committer exits once this hits zero and the waiter queue is
+    /// empty.
     producing: usize,
 }
 
@@ -435,12 +425,6 @@ where
             if !self.draining && self.shutdown.load(Ordering::SeqCst) {
                 self.draining = true;
                 drain_deadline = Instant::now() + DRAIN_GRACE;
-                if let Some(c) = &self.commit {
-                    // From here durable requests flush inline; the
-                    // committer must not wait on this worker.
-                    lock(&c.state).producing -= 1;
-                    c.cv.notify_all();
-                }
             }
             if self.draining {
                 let busy = self.drain_sweep();
@@ -641,8 +625,8 @@ where
     }
 
     /// Decode + run one request under the service lock, then either
-    /// park the reply with the committer (durable mutation, group
-    /// commit active) or queue it for writing directly.
+    /// park the reply with the committer (durable mutation) or queue it
+    /// for writing directly.
     fn dispatch_request(&mut self, slot: usize, req_id: u64, payload: Vec<u8>) -> Result<(), ()> {
         let arrived = self.conns[slot].as_ref().ok_or(())?.buf_stamp;
         let guard_on = self.guard && !self.draining;
@@ -745,7 +729,6 @@ where
             }
         });
         let repl = guard.take_repl_stamp();
-        let group = self.commit.is_some() && !self.draining;
         let ticket = if self.commit.is_some() {
             guard.take_commit_ticket()
         } else {
@@ -757,18 +740,6 @@ where
             .commit
             .as_ref()
             .map_or(0, |c| c.stages.load(Ordering::Relaxed) + 1);
-        if ticket.is_some() && !group {
-            // Draining: the committer no longer waits on this worker,
-            // so make the records durable inline before replying.
-            guard.commit_flush();
-            if guard.commit_abort() {
-                // Quorum failed during the inline flush: never ack.
-                if let Some(m) = &self.opts.metrics {
-                    m.abort();
-                }
-                return Err(());
-            }
-        }
         drop(guard);
         if let Some(m) = &self.opts.metrics {
             let kv_ns = attrs
@@ -789,7 +760,9 @@ where
             return Err(());
         }
         let frame = encode_frame(FrameKind::Response, req_id, &resp);
-        if let (Some(c), true) = (&self.commit, ticket.is_some() && group) {
+        // A durable reply parks even while draining: the committer's
+        // stage is its one way out, fsync and replication quorum both.
+        if let (Some(c), Some(_)) = (&self.commit, ticket) {
             let conn = self.conns[slot].as_mut().ok_or(())?;
             conn.inflight += 1;
             let gen = conn.gen;
@@ -987,6 +960,18 @@ where
     }
 }
 
+impl<S: Service> Drop for Worker<S> {
+    /// A worker parks durable replies until it exits, draining or not,
+    /// so the committer keeps serving it until then. Also runs for a
+    /// worker whose thread never started.
+    fn drop(&mut self) {
+        if let Some(c) = &self.commit {
+            lock(&c.state).producing -= 1;
+            c.cv.notify_all();
+        }
+    }
+}
+
 fn drain_wake(rx: &UnixStream) {
     let mut buf = [0u8; 256];
     loop {
@@ -1028,7 +1013,7 @@ pub(crate) fn run<S>(
         opts.workers.min(64)
     };
     let guard = guard_enabled();
-    let deferred = group_commit_enabled() && lock(&svc).defer_sync(true);
+    let deferred = lock(&svc).defer_sync(true);
     let commit = deferred.then(|| {
         Arc::new(CommitShared {
             state: Mutex::new(CommitState {
@@ -1170,7 +1155,7 @@ pub(crate) fn run<S>(
     if let Some(h) = committer {
         let _ = h.join();
     }
-    // All pending groups were flushed by the committer or inline; turn
+    // The committer flushed every parked group before it exited; turn
     // deferral off so post-drain maintenance sees a settled store.
     lock(&svc).defer_sync(false);
     // A crash here models dying after the last ack but before the
@@ -1314,13 +1299,18 @@ mod tests {
         while metrics.requests() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Once draining, the worker flushes the second request inline,
-        // and that flush fails its quorum.
+        // Once draining, the worker still parks the second request, and
+        // its stage fails the quorum like the first one's.
         shutdown.store(true, Ordering::SeqCst);
         std::thread::sleep(TICK * 2);
         gate.store(true, Ordering::SeqCst);
         server.join().unwrap();
-        assert_eq!(metrics.requests(), 1);
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        while let Some(frame) = crate::frame::read_frame(&mut client).unwrap() {
+            assert_ne!(frame.kind, FrameKind::Response, "acked without a quorum");
+        }
         assert_eq!(metrics.inflight(), 0);
     }
 

@@ -41,7 +41,9 @@
 #   --shed-watermark N loco-guard watermark on the group-commit queue
 #                     depth (default: locod's, 0 = off)
 #   --dms-standbys N  boot N warm-standby dms replicas (dms1..dmsN)
-#                     with WAL replication from dms0 (needs --data-dir)
+#                     with WAL replication from dms0 (needs --data-dir
+#                     and --sync-policy every-record: only the group
+#                     commit waits for the standby quorum)
 #   --repl-ack        none|one|all standby acks before client acks
 #                     release (default one)
 #   --repl-lease-ms   primary lease for failover detection (default 500)
@@ -325,6 +327,11 @@ done
 
 if [[ "$DMS_STANDBYS" -gt 0 && "$DATA_DIR" == "-" ]]; then
   echo "cluster.sh: --dms-standbys needs --data-dir (replication ships the WAL)" >&2
+  exit 2
+fi
+if [[ "$DMS_STANDBYS" -gt 0 && "$SYNC_POLICY" != every-record ]]; then
+  echo "cluster.sh: --dms-standbys needs --sync-policy every-record" \
+    "(only the group commit waits for the standby quorum)" >&2
   exit 2
 fi
 

@@ -106,12 +106,14 @@ object stores. --data-dir ROOT makes the role durable under
 ROOT/<role><index>/ (WAL-before-ack + periodic checkpoints). The
 server runs an event-driven core: --workers sizes the readiness loops
 (0 = auto) and --max-conns caps open connections (0 = unlimited);
-durable roles batch WAL fsyncs across connections (disable with
-LOCO_GROUP_COMMIT=off). A durable dms can run warm-standby WAL
-replication: give every replica --replicate-to with its peers, start
-standbys with --standby-of PRIMARY, and pick --repl-ack (none=async,
-one=any standby, all=every standby) — promote flips a standby to
-primary with a fresh fencing epoch (LOCO_REPL_AUTO_PROMOTE=1 enables
+under --sync-policy every-record, durable roles batch WAL fsyncs
+across connections and every durable ack waits for its batch. A
+durable every-record dms can run warm-standby WAL replication (refused
+under os-managed, whose acks would skip the standby quorum): give
+every replica --replicate-to with its peers, start standbys with
+--standby-of PRIMARY, and pick --repl-ack (none=async, one=any
+standby, all=every standby) — promote flips a standby to primary
+with a fresh fencing epoch (LOCO_REPL_AUTO_PROMOTE=1 enables
 lease-based self-promotion). Overload guard: --max-inflight caps
 parked commit waiters per worker and --shed-watermark caps committer
 queue depth — past either, mutations are shed with a fast Overloaded
@@ -708,8 +710,15 @@ fn serve(args: &[String]) -> ExitCode {
         ..Default::default()
     };
     let repl_on = a.standby_of.is_some() || !a.replicate_to.is_empty();
-    if repl_on && (a.role != "dms" || a.data_dir.is_none()) {
-        return fail("--standby-of/--replicate-to need --role dms with --data-dir");
+    // A standby quorum is awaited only in the group commit, which runs
+    // only under every-record; an os-managed ack also promises no fsync.
+    if repl_on
+        && (a.role != "dms" || a.data_dir.is_none() || a.sync_policy != SyncPolicy::EveryRecord)
+    {
+        return fail(
+            "--standby-of/--replicate-to need --role dms with --data-dir and \
+             --sync-policy every-record",
+        );
     }
     let mut replicator: Option<Replicator> = None;
     let result = match a.role.as_str() {
@@ -786,14 +795,15 @@ fn serve(args: &[String]) -> ExitCode {
                                 Arc::new(move || {
                                     // Same path as an external Promote
                                     // request, driven locally: handle,
-                                    // then flush the epoch record and
-                                    // clear the per-request state the
-                                    // serve loop would normally drain.
+                                    // then fsync the epoch record (the
+                                    // maintenance sync) and clear the
+                                    // per-request state the serve loop
+                                    // would normally drain.
                                     let mut g = lock(&s);
                                     let _ = g.handle(DmsRequest::Promote {});
                                     let _ = g.take_commit_ticket();
                                     let _ = g.take_repl_stamp();
-                                    g.commit_flush();
+                                    let _ = g.maintain(false);
                                     let _ = g.commit_abort();
                                 })
                             },

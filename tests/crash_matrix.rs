@@ -57,8 +57,9 @@ impl Drop for Scratch {
 const OPS: &str = "200";
 const CHECKPOINT_EVERY: &str = "25";
 
-/// Run one apply-crash-verify cycle with the given fault env var.
-fn run_case(policy: &str, env_key: &str, env_val: &str) {
+/// Run one apply-crash-verify cycle with the given fault env var;
+/// returns the apply phase's output.
+fn run_case(policy: &str, env_key: &str, env_val: &str) -> std::process::Output {
     let tag = format!("{policy}-{}", env_val.replace(['=', ':'], "_"));
     let s = Scratch::new(&tag);
     let apply = Command::new(locod())
@@ -115,6 +116,7 @@ fn run_case(policy: &str, env_key: &str, env_val: &str) {
         String::from_utf8_lossy(&verify.stdout),
         String::from_utf8_lossy(&verify.stderr),
     );
+    apply
 }
 
 const POLICIES: [&str; 2] = ["os-managed", "every-record"];
@@ -156,6 +158,14 @@ fn crash_matrix_io_faults() {
         run_case(policy, "LOCO_IOFAULT", "wal_commit=short:90");
         run_case(policy, "LOCO_IOFAULT", "checkpoint_write=err:2");
         run_case(policy, "LOCO_IOFAULT", "checkpoint_write=short:3");
+        // The second checkpoint's directory fsync fails after its
+        // rename: fatal before the log rotates, never swallowed.
+        let apply = run_case(policy, "LOCO_IOFAULT", "dir_sync=err:2");
+        let stderr = String::from_utf8_lossy(&apply.stderr);
+        assert!(
+            !apply.status.success() && stderr.contains("FATAL wal"),
+            "[{policy}] a failed directory fsync must abort the apply:\n{stderr}"
+        );
     }
 }
 
@@ -209,7 +219,6 @@ fn run_daemon_committer_case(site: &str) {
                 "every-record",
             ])
             .env_remove("LOCO_IOFAULT")
-            .env_remove("LOCO_GROUP_COMMIT")
             .env("LOCO_CRASHPOINT", site)
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::piped())

@@ -100,9 +100,6 @@ impl Service for GatedDms {
     fn take_commit_ticket(&mut self) -> Option<u64> {
         self.inner.take_commit_ticket()
     }
-    fn commit_flush(&mut self) -> u64 {
-        self.inner.commit_flush()
-    }
     fn commit_flush_begin(&mut self) -> Option<(u64, CommitFsync)> {
         let (records, fsync) = self.inner.commit_flush_begin()?;
         let gate = Arc::clone(&self.gate);

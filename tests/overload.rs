@@ -303,9 +303,6 @@ impl Service for SlowCommitDms {
     fn take_commit_ticket(&mut self) -> Option<u64> {
         self.0.take_commit_ticket()
     }
-    fn commit_flush(&mut self) -> u64 {
-        self.0.commit_flush()
-    }
     fn commit_flush_begin(&mut self) -> Option<(u64, CommitFsync)> {
         self.0.commit_flush_begin().map(|(n, fsync)| {
             let slow: CommitFsync = Box::new(move || {

@@ -6,15 +6,27 @@
 //! catch-up through the snapshot path, and a chaos loop of repeated
 //! kill → promote → rejoin rounds.
 //!
+//! The last three cases pin the one ack path: a primary whose only
+//! peer never acks must ack nothing, whatever way a reply might have
+//! left without the group committer's quorum wait (an `os-managed`
+//! boot, a group-commit off switch in the environment, a write that
+//! arrives during the drain).
+//!
 //! Quorum shape matters: with `--repl-ack one` a primary can only ack
 //! while at least one standby is alive, so the failover scenarios run
 //! the CI topology (1 primary + 2 standbys, full mesh) — after losing
 //! any single node the survivor pair still forms an ack quorum.
 
 use locofs::dms::{DirServer, DmsRequest, DmsResponse};
+use locofs::net::frame::{encode_frame, read_frame, FrameKind};
 use locofs::net::tcp::{RetryPolicy, TcpEndpoint};
-use locofs::net::{class, control, CallCtx, Control, ControlReply, Endpoint, RpcError, ServerId};
+use locofs::net::{
+    class, control, CallCtx, Control, ControlReply, Endpoint, RpcError, RpcRequest, ServerId,
+};
 use locofs::repl::Role;
+use locofs::types::wire::Wire;
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -136,13 +148,17 @@ fn wait_ping(addr: &str) {
 /// One attempt, short deadline: "acked" means exactly one reply frame
 /// arrived — no retry ambiguity about which mutations count.
 fn one_shot(addr: &str) -> TcpEndpoint<DirServer> {
+    one_shot_within(addr, Duration::from_secs(5))
+}
+
+fn one_shot_within(addr: &str, deadline: Duration) -> TcpEndpoint<DirServer> {
     TcpEndpoint::with_policy(
         ServerId::new(class::DMS, 0),
         addr,
         RetryPolicy {
             attempts: 1,
             backoff: Duration::from_millis(10),
-            deadline: Duration::from_secs(5),
+            deadline,
             connect_timeout: Duration::from_secs(2),
             reconnect_window: Duration::ZERO,
             retry_budget: 0,
@@ -578,5 +594,164 @@ fn chaos_loop_of_kill_promote_rejoin_rounds_loses_nothing() {
     assert_eq!(acked.len(), 30);
     for path in &acked {
         assert!(dir_exists(&ep, path));
+    }
+}
+
+/// A replicated DMS (the primary, unless `extra_args` passes
+/// `--standby-of`) whose only peer is a port nothing listens on, so
+/// `--repl-ack one` is never met and every quorum wait times out after
+/// 2 × the 200 ms lease. Its stderr goes to `stderr.log` in the scratch
+/// dir.
+fn spawn_lonely_dms(
+    addr: &str,
+    s: &Scratch,
+    extra_args: &[&str],
+    extra_env: &[(&str, &str)],
+) -> Daemon {
+    let dead_peer = format!("127.0.0.1:{}", free_port());
+    let data_dir = s.0.join("data");
+    let stderr = std::fs::File::create(s.0.join("stderr.log")).unwrap();
+    let mut cmd = Command::new(locod());
+    cmd.args([
+        "serve",
+        "--role",
+        "dms",
+        "--listen",
+        addr,
+        "--data-dir",
+        data_dir.to_str().unwrap(),
+        "--replicate-to",
+        &dead_peer,
+        "--repl-ack",
+        "one",
+        "--repl-lease-ms",
+        "200",
+    ])
+    .args(extra_args)
+    .env_remove("LOCO_CRASHPOINT")
+    .env_remove("LOCO_IOFAULT")
+    .env_remove("LOCO_REPL_AUTO_PROMOTE")
+    .envs(extra_env.iter().copied())
+    .stdout(Stdio::null())
+    .stderr(stderr);
+    Daemon(cmd.spawn().expect("spawn locod serve"))
+}
+
+fn mkdir_frame(req_id: u64, path: &str) -> Vec<u8> {
+    let req = RpcRequest {
+        budget_ms: 0,
+        trace: None,
+        body: DmsRequest::Mkdir {
+            path: path.into(),
+            mode: 0o755,
+            uid: 0,
+            gid: 0,
+            ts: 1,
+        },
+    };
+    encode_frame(FrameKind::Request, req_id, &req.to_wire())
+}
+
+#[test]
+fn replication_is_refused_under_os_managed_sync() {
+    // A primary, and a standby: an os-managed primary acks before any
+    // quorum wait, and an os-managed standby's ack promises no fsync.
+    for extra in [&[][..], &["--standby-of", "127.0.0.1:1"][..]] {
+        let s = Scratch::new("os-managed");
+        let addr = format!("127.0.0.1:{}", free_port());
+        let mut d = spawn_lonely_dms(&addr, &s, extra, &[]);
+        let start = Instant::now();
+        let status = loop {
+            if let Some(st) = d.0.try_wait().unwrap() {
+                break st;
+            }
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "{extra:?}: locod served replication under os-managed sync"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(!status.success(), "{extra:?}: the refusal must fail");
+        let stderr = std::fs::read_to_string(s.0.join("stderr.log")).unwrap();
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(
+            first.contains("every-record"),
+            "{extra:?}: the refusal must name every-record, got {first:?}"
+        );
+    }
+}
+
+#[test]
+fn a_group_commit_off_switch_in_the_env_acks_nothing_without_a_quorum() {
+    let s = Scratch::new("gc-off");
+    let addr = format!("127.0.0.1:{}", free_port());
+    let _d = spawn_lonely_dms(
+        &addr,
+        &s,
+        &["--sync-policy", "every-record"],
+        &[("LOCO_GROUP_COMMIT", "off")],
+    );
+    wait_ping(&addr);
+    // The quorum wait gives up after 400 ms and drops the reply.
+    let ep = one_shot_within(&addr, Duration::from_secs(2));
+    let r = mkdir(&ep, "/unreplicated");
+    assert!(r.is_err(), "a mkdir no standby has was acked");
+}
+
+#[test]
+fn a_write_during_the_drain_is_not_acked_without_a_quorum() {
+    let s = Scratch::new("drain");
+    let addr = format!("127.0.0.1:{}", free_port());
+    let mut d = spawn_lonely_dms(
+        &addr,
+        &s,
+        &["--sync-policy", "every-record", "--workers", "1"],
+        &[],
+    );
+    wait_ping(&addr);
+    let start = Instant::now();
+    let at = |ms: u64| {
+        let t = start + Duration::from_millis(ms);
+        std::thread::sleep(t.saturating_duration_since(Instant::now()));
+    };
+    // Mkdir A parks in a quorum wait that lasts 400 ms.
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    conn.write_all(&mkdir_frame(1, "/a")).unwrap();
+    // The drain starts while A waits...
+    at(60);
+    let mut ctl = TcpStream::connect(&addr).unwrap();
+    ctl.write_all(&encode_frame(
+        FrameKind::Control,
+        0,
+        &Control::Shutdown.to_wire(),
+    ))
+    .unwrap();
+    // ...and mkdir B arrives on A's connection during it.
+    at(140);
+    conn.write_all(&mkdir_frame(2, "/b")).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    loop {
+        match read_frame(&mut conn) {
+            Ok(Some(f)) => assert_ne!(
+                f.kind,
+                FrameKind::Response,
+                "request {} acked at {:?} without a quorum",
+                f.req_id,
+                start.elapsed()
+            ),
+            Ok(None) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("no EOF from the draining daemon: {e}"),
+        }
+    }
+    let start = Instant::now();
+    while d.0.try_wait().unwrap().is_none() {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the daemon never finished its drain"
+        );
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
