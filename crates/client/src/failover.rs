@@ -149,6 +149,8 @@ impl FailoverDms {
             // redialing another address would just spread the load spike.
             RpcError::Overloaded | RpcError::Expired => false,
             RpcError::Decode(_) => false,
+            // No address can take a request no frame can carry.
+            RpcError::TooLarge { .. } => false,
         }
     }
 }

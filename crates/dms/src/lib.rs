@@ -412,7 +412,7 @@ impl DirServer {
         let mut out = Vec::new();
         out.extend_from_slice(&sid.to_le_bytes());
         out.extend_from_slice(&next_fid.to_le_bytes());
-        out.extend_from_slice(&loco_kv::snapshot::dump(&mut *self.db));
+        loco_kv::snapshot::dump_into(&mut *self.db, &mut out);
         let _ = self.db.take_cost();
         out
     }

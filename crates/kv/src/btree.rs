@@ -337,6 +337,20 @@ impl KvStore for BTreeDb {
         self.scan_range(prefix, hi.as_deref())
     }
 
+    fn for_each_record(&mut self, visit: &mut dyn FnMut(&[u8], &[u8])) {
+        // The leftmost leaf heads the chain, which runs in key order.
+        let mut id = self.find_leaf(b"");
+        while id != NIL {
+            let Node::Leaf { entries, next } = &self.nodes[id as usize] else {
+                unreachable!("leaf chain contains internal node")
+            };
+            for (k, v) in entries {
+                visit(k, v);
+            }
+            id = *next;
+        }
+    }
+
     fn extract_prefix(&mut self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         // Range extraction: walk the leaf chain once, draining matching
         // entries in place. Cost is proportional to the extracted range

@@ -47,6 +47,23 @@
 //! field. [`SyncPolicy::OsManaged`] logs append: no fsync sits on their
 //! path, and a small in-place write costs more than an append.
 //!
+//! ## What a checkpoint costs
+//!
+//! An automatic checkpoint runs inside the commit that takes the log
+//! to [`DurableStore::checkpoint_every`] records, so it holds whatever
+//! lock the caller holds — a server's service lock — until it returns.
+//! Its CPU half is one pass over the store: [`KvStore::for_each_record`]
+//! hands each record in place to [`crate::snapshot::dump_into`], which
+//! appends it to the one buffer that becomes the envelope, then one
+//! crc over the image. Nothing copies the record set or sorts it. Its
+//! disk half writes and fsyncs `snapshot.tmp`, renames it, syncs the
+//! directory and rotates the log. Both halves grow with the store, and
+//! a store that grows at a steady rate checkpoints at a steady rate, so
+//! the total checkpoint work of a run grows with the square of the
+//! store's final size. The `wal.checkpoint` info event reports each
+//! checkpoint's `records`, `elapsed_us` (start of the image to the end
+//! of the rotation) and `dir`.
+//!
 //! ## On-disk formats
 //!
 //! WAL v2: file header `b"LWAL"` ‖ u8 version(2), then records:
@@ -90,6 +107,7 @@ use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 const OP_PUT: u8 = 1;
 const OP_DELETE: u8 = 2;
@@ -603,16 +621,15 @@ impl<S: KvStore> DurableStore<S> {
     /// `(last_covered_seq, envelope)`. Also the replication snapshot
     /// image a primary ships to a lagging standby.
     pub fn snapshot_image(&mut self) -> (u64, Vec<u8>) {
-        let image = crate::snapshot::dump(&mut self.inner);
-        let _ = self.inner.take_cost();
         let last_seq = self.next_seq - 1;
-        let mut env = Vec::with_capacity(SNAP_HEADER_LEN + image.len());
+        let mut env = Vec::new();
         env.extend_from_slice(SNAP_MAGIC);
         env.push(SNAP_VERSION);
         env.extend_from_slice(&last_seq.to_le_bytes());
         let header_crc = crc32(&env);
         env.extend_from_slice(&header_crc.to_le_bytes());
-        env.extend_from_slice(&image);
+        crate::snapshot::dump_into(&mut self.inner, &mut env);
+        let _ = self.inner.take_cost();
         (last_seq, env)
     }
 
@@ -621,6 +638,7 @@ impl<S: KvStore> DurableStore<S> {
         loco_log::debug!("wal.checkpoint", "checkpoint begin";
             wal_records = self.stats.wal_records);
         loco_faults::crashpoint("checkpoint_pre_write");
+        let started = Instant::now();
         let (last_seq, env) = self.snapshot_image();
         let tmp = self.dir.join("snapshot.tmp");
         {
@@ -645,6 +663,7 @@ impl<S: KvStore> DurableStore<S> {
         // crash before this point the old log replays but its seqs are
         // ≤ the snapshot's last_seq, so nothing double-applies.
         self.rotate_log()?;
+        let elapsed = started.elapsed();
         loco_faults::crashpoint("checkpoint_post_truncate");
         self.stats.wal_records = 0;
         // The fsync'd snapshot covers every appended record, so any
@@ -655,6 +674,9 @@ impl<S: KvStore> DurableStore<S> {
         loco_log::info!("wal.checkpoint", "checkpoint complete: snapshot rotated";
             last_seq = last_seq,
             bytes = env.len() as u64,
+            records = self.inner.len() as u64,
+            elapsed_us = elapsed.as_micros() as u64,
+            dir = self.dir.display().to_string(),
             checkpoints = self.stats.checkpoints);
         Ok(())
     }
@@ -1056,6 +1078,10 @@ impl<S: KvStore> KvStore for DurableStore<S> {
 
     fn scan_prefix(&mut self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.inner.scan_prefix(prefix)
+    }
+
+    fn for_each_record(&mut self, visit: &mut dyn FnMut(&[u8], &[u8])) {
+        self.inner.for_each_record(visit)
     }
 
     fn extract_prefix(&mut self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -1856,6 +1882,159 @@ mod tests {
         assert_eq!(std::fs::read(&aside[0]).unwrap(), &bytes[rec5..]);
         assert_eq!(std::fs::read(&aside2[1]).unwrap(), [0xEE; 7]);
         assert_eq!(discard_warning(&aside2[1]).as_deref(), Some(""));
+    }
+
+    /// A seeded mix of puts, deletes, appends and in-place writes over
+    /// a small key space, so records are overwritten, grown and
+    /// removed.
+    fn churn(db: &mut dyn KvStore, seed: u64) {
+        let mut rng = loco_sim::rng::Rng::seed_from_u64(seed);
+        for _ in 0..3_000 {
+            let key = format!("k{:03}", rng.gen_range(0..400)).into_bytes();
+            let data: Vec<u8> = (0..rng.gen_range(0..40))
+                .map(|_| rng.gen_u64() as u8)
+                .collect();
+            match rng.gen_range(0..4) {
+                0 => db.put(&key, &data),
+                1 => {
+                    db.delete(&key);
+                }
+                2 => db.append(&key, &data),
+                _ => {
+                    db.write_at(&key, rng.gen_range(0..4), &data[..data.len().min(4)]);
+                }
+            }
+        }
+    }
+
+    fn visited(db: &mut dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        db.for_each_record(&mut |k, v| out.push((k.to_vec(), v.to_vec())));
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn for_each_record_visits_what_a_full_scan_returns() {
+        use crate::LsmDb;
+        let kinds: [fn() -> Box<dyn KvStore>; 3] = [
+            || Box::new(HashDb::new(KvConfig::default())),
+            || Box::new(BTreeDb::new(KvConfig::default())),
+            || Box::new(LsmDb::new(KvConfig::default())),
+        ];
+        for (seed, kind) in kinds.iter().enumerate() {
+            let scratch = Scratch::new();
+            let durable = DurableStore::open(&scratch.0, kind()).unwrap();
+            let boxed_durable: Box<dyn KvStore> =
+                Box::new(DurableStore::open(scratch.0.join("boxed"), kind()).unwrap());
+            // Each reaches the store through the `Box<dyn KvStore>`
+            // forwarding impl, and two of them through `DurableStore`.
+            let mut stores: Vec<Box<dyn KvStore>> =
+                vec![Box::new(kind()), Box::new(durable), Box::new(boxed_durable)];
+            for db in &mut stores {
+                churn(&mut **db, 0xF0E4 + seed as u64);
+                assert!(db.len() > 100, "the churn must leave records");
+                let scan = db.scan_prefix(b"");
+                assert_eq!(visited(&mut **db), scan);
+                assert_eq!(scan.len(), db.len());
+            }
+        }
+    }
+
+    /// Counts the whole-store reads that reach the wrapped store.
+    struct Counting<S> {
+        inner: S,
+        scans: Arc<AtomicU64>,
+        walks: Arc<AtomicU64>,
+    }
+
+    impl<S: KvStore> KvStore for Counting<S> {
+        fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+            self.inner.get(key)
+        }
+        fn put(&mut self, key: &[u8], value: &[u8]) {
+            self.inner.put(key, value)
+        }
+        fn delete(&mut self, key: &[u8]) -> bool {
+            self.inner.delete(key)
+        }
+        fn contains(&mut self, key: &[u8]) -> bool {
+            self.inner.contains(key)
+        }
+        fn read_at(&mut self, key: &[u8], off: usize, len: usize) -> Option<Vec<u8>> {
+            self.inner.read_at(key, off, len)
+        }
+        fn write_at(&mut self, key: &[u8], off: usize, data: &[u8]) -> bool {
+            self.inner.write_at(key, off, data)
+        }
+        fn append(&mut self, key: &[u8], data: &[u8]) {
+            self.inner.append(key, data)
+        }
+        fn scan_prefix(&mut self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+            self.scans.fetch_add(1, Ordering::SeqCst);
+            self.inner.scan_prefix(prefix)
+        }
+        fn for_each_record(&mut self, visit: &mut dyn FnMut(&[u8], &[u8])) {
+            self.walks.fetch_add(1, Ordering::SeqCst);
+            self.inner.for_each_record(visit)
+        }
+        fn extract_prefix(&mut self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+            self.inner.extract_prefix(prefix)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn ordered(&self) -> bool {
+            self.inner.ordered()
+        }
+        fn take_cost(&mut self) -> Nanos {
+            self.inner.take_cost()
+        }
+        fn stats(&self) -> AccessStats {
+            self.inner.stats()
+        }
+        fn reset_stats(&mut self) {
+            self.inner.reset_stats()
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_walks_the_store_once_and_never_scans_it() {
+        let scratch = Scratch::new();
+        let (scans, walks) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let counting = Counting {
+            inner: HashDb::new(KvConfig::default()),
+            scans: Arc::clone(&scans),
+            walks: Arc::clone(&walks),
+        };
+        let mut db = DurableStore::open(&scratch.0, counting).unwrap();
+        churn(&mut db, 0xC4EC);
+        db.checkpoint().unwrap();
+        assert_eq!(walks.load(Ordering::SeqCst), 1);
+        assert_eq!(scans.load(Ordering::SeqCst), 0);
+        // The event that reports the checkpoint names its store, its
+        // size and how long it held the store.
+        let dir = scratch.0.display().to_string();
+        let event = loco_log::tail(0, usize::MAX)
+            .events
+            .into_iter()
+            .rfind(|ev| {
+                ev.target == "wal.checkpoint"
+                    && ev.fields.iter().any(
+                        |(k, v)| matches!(v, loco_log::Value::Str(s) if *k == "dir" && *s == dir),
+                    )
+            })
+            .expect("checkpoint event for this store");
+        let field = |key: &str| event.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+        assert!(matches!(field("records"), Some(loco_log::Value::U64(n)) if *n == db.len() as u64));
+        assert!(matches!(field("elapsed_us"), Some(loco_log::Value::U64(_))));
+        let want = sorted(&mut db);
+        drop(db);
+        let mut reopened =
+            DurableStore::open(&scratch.0, BTreeDb::new(KvConfig::default())).unwrap();
+        assert_eq!(reopened.stats().snapshot_records, want.len() as u64);
+        assert_eq!(reopened.stats().replayed_records, 0);
+        assert_eq!(sorted(&mut reopened), want);
     }
 
     #[test]

@@ -211,6 +211,12 @@ impl KvStore for HashDb {
         out
     }
 
+    fn for_each_record(&mut self, visit: &mut dyn FnMut(&[u8], &[u8])) {
+        for (k, v) in self.buckets.iter().flatten() {
+            visit(k, v);
+        }
+    }
+
     fn extract_prefix(&mut self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.meter.stats.scans += 1;
         self.charge_full_scan();

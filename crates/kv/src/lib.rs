@@ -176,7 +176,23 @@ pub trait KvStore: Send {
     fn append(&mut self, key: &[u8], data: &[u8]);
 
     /// Return all records whose key starts with `prefix`, in key order.
+    /// Every record is copied out, and a [`HashDb`] also sorts them; a
+    /// reader that wants the whole store and not its key order uses
+    /// [`KvStore::for_each_record`] instead.
     fn scan_prefix(&mut self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// Visit every record once, in place, in the store's own order:
+    /// key order for ordered stores, bucket order for a [`HashDb`].
+    /// Unlike `scan_prefix(b"")` it copies nothing, sorts nothing and
+    /// charges no virtual cost, so snapshots and index rebuilds pay
+    /// only for what they do with each record. The default body copies
+    /// through `scan_prefix(b"")`; stores that can walk their records
+    /// in place override it.
+    fn for_each_record(&mut self, visit: &mut dyn FnMut(&[u8], &[u8])) {
+        for (k, v) in self.scan_prefix(b"") {
+            visit(&k, &v);
+        }
+    }
 
     /// Remove and return all records whose key starts with `prefix`, in
     /// key order. This is the directory-rename primitive: the B+ tree
@@ -353,6 +369,9 @@ impl KvStore for Box<dyn KvStore> {
     }
     fn scan_prefix(&mut self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         (**self).scan_prefix(prefix)
+    }
+    fn for_each_record(&mut self, visit: &mut dyn FnMut(&[u8], &[u8])) {
+        (**self).for_each_record(visit)
     }
     fn extract_prefix(&mut self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         (**self).extract_prefix(prefix)

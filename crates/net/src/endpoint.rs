@@ -353,6 +353,15 @@ pub enum RpcError {
         /// Cooldown before the next half-open probe, in milliseconds.
         cooldown_ms: u64,
     },
+    /// The encoded request exceeds the frame payload limit
+    /// ([`crate::frame::MAX_PAYLOAD`]), so it was refused before any
+    /// connection was dialed: nothing was sent and nothing executed.
+    /// Not retried — resending the same bytes can only fail the same
+    /// way.
+    TooLarge {
+        /// Length of the encoded request, in bytes.
+        len: usize,
+    },
     /// All retry attempts failed; carries the final attempt's error.
     Exhausted {
         /// How many attempts were made.
@@ -390,6 +399,11 @@ impl std::fmt::Display for RpcError {
             RpcError::CircuitOpen { cooldown_ms } => {
                 write!(f, "circuit breaker open (retry in {cooldown_ms} ms)")
             }
+            RpcError::TooLarge { len } => write!(
+                f,
+                "request of {len} bytes over the {} byte frame limit; not sent",
+                crate::frame::MAX_PAYLOAD
+            ),
             RpcError::Exhausted { attempts, last } => {
                 write!(f, "rpc failed after {attempts} attempts: {last}")
             }

@@ -120,13 +120,20 @@ pub fn encode_frame(kind: FrameKind, req_id: u64, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// Write one frame to `w` (single `write_all`).
+/// Write one frame to `w` (single `write_all`). A payload over
+/// [`MAX_PAYLOAD`] writes nothing and fails with `InvalidInput`.
 pub fn write_frame(
     w: &mut impl Write,
     kind: FrameKind,
     req_id: u64,
     payload: &[u8],
 ) -> io::Result<()> {
+    if payload.len() > MAX_PAYLOAD {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame payload length {} over limit", payload.len()),
+        ));
+    }
     w.write_all(&encode_frame(kind, req_id, payload))
 }
 
@@ -261,6 +268,15 @@ mod tests {
         bytes[12..16].copy_from_slice(&(3u32 << 30).to_le_bytes());
         let err = read_frame(&mut &bytes[..]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_before_any_byte_is_written() {
+        let payload = vec![0u8; MAX_PAYLOAD + 1];
+        let mut sink = Vec::new();
+        let err = write_frame(&mut sink, FrameKind::Request, 1, &payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(sink.is_empty());
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! offending connection; the client sees the drop and retries.
 
 use crate::endpoint::{CallCtx, Endpoint, MaintainReport, RpcError, Service};
-use crate::frame::{read_frame, write_frame, Frame, FrameKind};
+use crate::frame::{read_frame, write_frame, Frame, FrameKind, MAX_PAYLOAD};
 use crate::metrics::EndpointMetrics;
 use crate::rpc::{
     restamp_budget_ms, Control, ControlReply, RpcRequest, RpcResponse, REJECT_EXPIRED,
@@ -648,6 +648,16 @@ where
             body: req,
         }
         .to_wire();
+        if req_bytes.len() > MAX_PAYLOAD {
+            // No frame can carry it: refuse before dialing, so it costs
+            // no attempt, no retry token and no breaker count.
+            loco_log::warn!("net.client", "request over the frame limit; not sent";
+                addr = format_args!("{}", self.addr), op = label,
+                len = req_bytes.len() as u64);
+            return Err(RpcError::TooLarge {
+                len: req_bytes.len(),
+            });
+        }
         let window_start = Instant::now();
         let mut total_attempts = 0u32;
         let mut fenced_fast_retry = false;

@@ -101,20 +101,19 @@ impl ObjectStore {
     /// Create an object store over a caller-supplied store — e.g. a
     /// `loco_kv::DurableStore` for on-disk persistence. The per-object
     /// block-count index is rebuilt from the recovered keys (it is
-    /// derived state, never logged).
+    /// derived state, never logged), read in place: no block is
+    /// copied.
     pub fn with_store(mut db: Box<dyn KvStore>) -> Self {
         let mut max_blk = std::collections::HashMap::new();
-        if !db.is_empty() {
-            for (k, _) in db.scan_prefix(b"") {
-                if k.len() != 16 {
-                    continue;
-                }
-                let raw = u64::from_be_bytes(k[0..8].try_into().unwrap());
-                let blk = u64::from_be_bytes(k[8..16].try_into().unwrap());
-                let e = max_blk.entry(raw).or_insert(0u64);
-                *e = (*e).max(blk + 1);
-            }
-        }
+        db.for_each_record(&mut |k, _| {
+            let Ok(k) = <&[u8; 16]>::try_from(k) else {
+                return;
+            };
+            let raw = u64::from_be_bytes(k[0..8].try_into().unwrap());
+            let blk = u64::from_be_bytes(k[8..16].try_into().unwrap());
+            let e = max_blk.entry(raw).or_insert(0u64);
+            *e = (*e).max(blk + 1);
+        });
         db.take_cost(); // setup/recovery is free
         Self {
             db,
@@ -323,6 +322,28 @@ mod tests {
             large > 100 * small,
             "1 MiB write ({large}) must dwarf 512 B write ({small})"
         );
+    }
+
+    #[test]
+    fn a_wrapped_store_rebuilds_the_block_index_from_its_keys() {
+        let mut db = HashDb::new(KvConfig::default());
+        for (obj, blks) in [(1, &[0, 1, 2, 3, 4][..]), (2, &[0, 2, 7]), (3, &[0])] {
+            for &blk in blks {
+                db.put(&u(obj).block_key(blk), &[obj as u8; 8]);
+            }
+        }
+        db.put(b"not-a-block-key", b"left alone");
+        let mut s = ObjectStore::with_store(Box::new(db));
+        assert_eq!(s.block_count(), 10);
+        assert_eq!(s.truncate(u(1), 2), 3);
+        // Object 2's index must reach past the gap to block 7.
+        let resp = s.handle(OstoreRequest::RemoveObject { uuid: u(2) });
+        assert!(matches!(resp, OstoreResponse::Removed(3)));
+        assert_eq!(s.truncate(u(3), 0), 1);
+        assert_eq!(s.block_count(), 3, "object 1's blocks 0-1 and the odd key");
+        assert!(s.read_block(u(1), 1).is_ok());
+        assert_eq!(s.read_block(u(1), 2), Err(FsError::NotFound));
+        assert!(s.db.contains(b"not-a-block-key"));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 # Usage:
 #   scripts/cluster.sh [--fms N] [--ost N] [--base-port P] [--keep]
 #                      [--data-dir DIR] [--sync-policy POLICY]
-#                      [--workers N] [--dms-standbys N]
+#                      [--workers N] [--checkpoint-every N]
+#                      [--dms-standbys N]
 #                      [--repl-ack POLICY] [--repl-lease-ms MS]
 #   scripts/cluster.sh crash ROLE      # kill -9 one daemon (e.g. fms0)
 #   scripts/cluster.sh restart ROLE    # restart it (same port + data dir)
@@ -35,6 +36,8 @@
 #   --data-dir DIR    run durably: each role persists under DIR/<role><i>/
 #   --sync-policy     os-managed (default) or every-record
 #   --workers N       event-loop workers per daemon (default: locod auto)
+#   --checkpoint-every N  durable daemons checkpoint after N logged
+#                     records (default: locod's, 100000); needs --data-dir
 #   --max-inflight N  loco-guard admission watermark: shed mutations
 #                     while a worker has N replies parked in the group
 #                     committer (default: locod's, 0 = off)
@@ -87,6 +90,9 @@ start_one() { # role index port data_dir sync_policy [repl]
   fi
   if [[ -n "${WORKERS:-}" ]]; then
     extra+=(--workers "$WORKERS")
+  fi
+  if [[ "$data_dir" != "-" && -n "${CHECKPOINT_EVERY:-}" ]]; then
+    extra+=(--checkpoint-every "$CHECKPOINT_EVERY")
   fi
   if [[ -n "${MAX_INFLIGHT:-}" ]]; then
     extra+=(--max-inflight "$MAX_INFLIGHT")
@@ -302,6 +308,7 @@ KEEP=0
 DATA_DIR="-"
 SYNC_POLICY=os-managed
 WORKERS="${WORKERS:-}"
+CHECKPOINT_EVERY="${CHECKPOINT_EVERY:-}"
 MAX_INFLIGHT="${MAX_INFLIGHT:-}"
 SHED_WATERMARK="${SHED_WATERMARK:-}"
 DMS_STANDBYS=0
@@ -315,6 +322,7 @@ while [[ $# -gt 0 ]]; do
     --data-dir) DATA_DIR=$2; shift 2 ;;
     --sync-policy) SYNC_POLICY=$2; shift 2 ;;
     --workers) WORKERS=$2; shift 2 ;;
+    --checkpoint-every) CHECKPOINT_EVERY=$2; shift 2 ;;
     --max-inflight) MAX_INFLIGHT=$2; shift 2 ;;
     --shed-watermark) SHED_WATERMARK=$2; shift 2 ;;
     --dms-standbys) DMS_STANDBYS=$2; shift 2 ;;

@@ -746,3 +746,76 @@ fn a_new_caller_takes_an_idle_connection_instead_of_dialing() {
     // The second caller found only the first caller's connection idle.
     assert_eq!(registry.gauge("loco_srv_open_conns", ECHO).get(), 1);
 }
+
+#[test]
+fn an_oversized_request_fails_its_call_without_dialing_or_killing_the_thread() {
+    use locofs::dms::DmsRequest;
+    use locofs::net::frame::MAX_PAYLOAD;
+    use locofs::net::RpcRequest;
+    use std::net::{Shutdown, TcpStream};
+
+    let id = ServerId::new(class::DMS, 0);
+    let l = TcpListener::bind("127.0.0.1:0").unwrap();
+    let server = DirServer::with_sid(LocoConfig::default().dms_backend, KvConfig::default(), 0);
+    let dms = serve_tcp(id, server, l, ServeOptions::default()).unwrap();
+    // The endpoint dials a gate in front of the DMS, so every
+    // connection it opens waits in the gate's accept queue.
+    let gate = TcpListener::bind("127.0.0.1:0").unwrap();
+    let ep = TcpEndpoint::<DirServer>::with_policy(
+        id,
+        &gate.local_addr().unwrap().to_string(),
+        fast_policy(),
+    );
+
+    // A replication snapshot whose request encodes to one byte over
+    // the frame limit.
+    let snapshot = |image: Vec<u8>| DmsRequest::ReplSnapshot {
+        epoch: 1,
+        last_seq: 1,
+        image,
+    };
+    let overhead = RpcRequest {
+        budget_ms: 0,
+        trace: None,
+        body: snapshot(Vec::new()),
+    }
+    .to_wire()
+    .len();
+    let req = snapshot(vec![0u8; MAX_PAYLOAD + 1 - overhead]);
+    let caller = ep.clone();
+    let outcome = std::thread::spawn(move || caller.try_call(&mut CallCtx::new(), req))
+        .join()
+        .expect("the calling thread must survive an oversized request");
+    assert_eq!(
+        outcome,
+        Err(RpcError::TooLarge {
+            len: MAX_PAYLOAD + 1
+        })
+    );
+    gate.set_nonblocking(true).unwrap();
+    assert_eq!(
+        gate.accept().map(|_| ()).unwrap_err().kind(),
+        std::io::ErrorKind::WouldBlock,
+        "the refused call must not dial"
+    );
+    gate.set_nonblocking(false).unwrap();
+
+    // The next ordinary call on the same endpoint goes through: the
+    // gate forwards its one connection to the DMS.
+    let upstream = dms.addr();
+    let forward = std::thread::spawn(move || {
+        let (client, _) = gate.accept().unwrap();
+        let server = TcpStream::connect(upstream).unwrap();
+        let (mut down_from, mut down_to) =
+            (server.try_clone().unwrap(), client.try_clone().unwrap());
+        let down = std::thread::spawn(move || std::io::copy(&mut down_from, &mut down_to));
+        let (mut up_from, mut up_to) = (client, server);
+        let _ = std::io::copy(&mut up_from, &mut up_to);
+        let _ = up_to.shutdown(Shutdown::Write);
+        let _ = down.join();
+    });
+    let resp = ep.try_call(&mut CallCtx::new(), DmsRequest::GetDir { path: "/".into() });
+    assert!(resp.is_ok(), "ordinary call after the refusal: {resp:?}");
+    drop(ep);
+    forward.join().unwrap();
+}
